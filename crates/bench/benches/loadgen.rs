@@ -44,8 +44,8 @@
 //! seconds.
 
 use bioformers::serve::{
-    AsyncEngine, AsyncEngineConfig, GestureClassifier, HedgeConfig, RequestOutput, RoutingPolicy,
-    ServeError, ShardedEngine,
+    AsyncEngineConfig, GestureClassifier, HedgeConfig, RequestOutput, RoutingPolicy, ServeError,
+    ShardedEngine,
 };
 use bioformers::tensor::Tensor;
 use std::io::Write as _;
@@ -342,10 +342,10 @@ fn main() {
 
     // --- capacity: single vs sharded vs hedged -----------------------
     {
-        let single = AsyncEngine::with_config(
-            Box::new(SleepBackend { per_window: FAST }),
-            replica_config(),
-        );
+        let single = ShardedEngine::builder()
+            .with_replica_config(replica_config())
+            .add_replica(Box::new(SleepBackend { per_window: FAST }))
+            .build();
         let sharded = || {
             ShardedEngine::builder()
                 .with_policy(RoutingPolicy::LatencyAware)

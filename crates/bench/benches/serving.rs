@@ -3,7 +3,7 @@
 //! Each benchmark measures the wall-clock time for 1 / 4 / 16 closed-loop
 //! clients to stream single-window requests through an engine:
 //!
-//! * `single-*` — one [`AsyncEngine`] replica (the PR 2 topology);
+//! * `single-*` — a [`ShardedEngine`] with one worker-pool replica;
 //! * `sharded-*` — a [`ShardedEngine`] pool with latency-aware routing
 //!   and adaptive linger over heterogeneous replicas.
 //!
@@ -36,9 +36,7 @@ use bioformer_core::{Bioformer, BioformerConfig};
 use bioformer_gap8::deploy::analyze_default;
 use bioformer_nn::serialize::state_dict;
 use bioformer_quant::QuantBioformer;
-use bioformers::serve::{
-    AsyncEngine, AsyncEngineConfig, GestureClassifier, RoutingPolicy, ShardedEngine,
-};
+use bioformers::serve::{AsyncEngineConfig, GestureClassifier, RoutingPolicy, ShardedEngine};
 use bioformers::tensor::Tensor;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
@@ -129,6 +127,14 @@ fn replica_config() -> AsyncEngineConfig {
         .with_adaptive_linger(Duration::from_millis(2))
 }
 
+/// One replica over `backend`, configured by [`replica_config`].
+fn single(backend: Box<dyn GestureClassifier>) -> ShardedEngine {
+    ShardedEngine::builder()
+        .with_replica_config(replica_config())
+        .add_replica(backend)
+        .build()
+}
+
 fn bench_cpu(c: &mut Criterion) {
     // One shared fp32 model + its int8 conversion back every engine in
     // this group (replicas add queues and workers, not weights).
@@ -145,8 +151,7 @@ fn bench_cpu(c: &mut Criterion) {
     for clients in CLIENT_COUNTS {
         g.bench_function(&format!("single-fp32/{clients}clients"), |b| {
             b.iter(|| {
-                let engine =
-                    AsyncEngine::with_config(Box::new(Arc::clone(&model)), replica_config());
+                let engine = single(Box::new(Arc::clone(&model)));
                 drive_clients(clients, |w| {
                     engine.classify(w).expect("serve");
                 });
@@ -181,10 +186,7 @@ fn bench_edge(c: &mut Criterion) {
     for clients in CLIENT_COUNTS {
         g.bench_function(&format!("single-edge/{clients}clients"), |b| {
             b.iter(|| {
-                let engine = AsyncEngine::with_config(
-                    Box::new(EdgeSim { per_window: fast }),
-                    replica_config(),
-                );
+                let engine = single(Box::new(EdgeSim { per_window: fast }));
                 drive_clients(clients, |w| {
                     engine.classify(w).expect("serve");
                 });

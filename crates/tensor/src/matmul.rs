@@ -269,9 +269,18 @@ pub const fn gemm_work(m: usize, n: usize, k: usize) -> usize {
 /// Note the asymmetry: crossing the threshold jumps straight to
 /// `2²⁶ ⁻ ²⁴ = 4` threads (not 2) because the threshold is deliberately set
 /// where fan-out is already clearly profitable.
+///
+/// Sub-threshold work returns before the process-global thread cap is
+/// read, so small kernels (every bio1 inference GEMM) never touch it: they
+/// cannot observe a concurrent [`crate::parallel::set_max_threads`], and
+/// they never trigger the one-time, allocating
+/// [`crate::parallel::hardware_threads`] probe from inside a forward.
 pub fn plan_threads(work: usize) -> usize {
+    if work < crate::parallel::PARALLEL_WORK_THRESHOLD {
+        return 1;
+    }
     let max = crate::parallel::max_threads();
-    if max <= 1 || work < crate::parallel::PARALLEL_WORK_THRESHOLD {
+    if max <= 1 {
         1
     } else {
         (work >> 24).clamp(2, max)

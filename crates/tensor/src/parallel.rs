@@ -1,16 +1,17 @@
-//! A tiny scoped-thread work splitter.
+//! The kernel thread budget.
 //!
-//! The training workloads in this repository are dominated by medium-size
-//! GEMMs ([`crate::matmul`]) and per-sample loops; both parallelise trivially
-//! over an index range. Rather than pulling in a work-stealing runtime, this
-//! module splits a range into contiguous chunks and runs them on scoped
-//! `std::thread`s, which keeps the crate dependency-free and deterministic.
+//! Large GEMMs fan out over scoped `std::thread`s
+//! ([`crate::matmul::plan_threads`] decides how many, the row-splitting
+//! kernels spawn them). This module holds what that decision reads: the
+//! work threshold below which a kernel stays on the caller's thread, the
+//! machine's cached parallelism, and the process-wide cap benchmarks and
+//! tests use to force single-threaded baselines.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// Minimum amount of "work units" (caller-defined, roughly FLOPs) below which
-/// [`parallel_chunks`] runs serially to avoid thread-spawn overhead.
+/// Minimum work (in FLOPs, see [`crate::matmul::gemm_work`]) below which a
+/// kernel runs serially to avoid thread-spawn overhead.
 ///
 /// Thread spawns cost ~0.25 ms in containerised environments, so fan-out
 /// only pays for GEMMs worth tens of milliseconds of single-thread time.
@@ -21,7 +22,7 @@ pub const PARALLEL_WORK_THRESHOLD: usize = 1 << 26;
 
 static MAX_THREADS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Overrides the number of worker threads used by [`parallel_chunks`].
+/// Overrides the number of worker threads a fanned-out kernel may use.
 ///
 /// `0` restores the default (the machine's available parallelism, capped at
 /// 16). Intended for benchmarks that need single-threaded baselines and for
@@ -65,7 +66,7 @@ pub fn hardware_threads() -> usize {
     })
 }
 
-/// Returns the number of worker threads [`parallel_chunks`] will use.
+/// Returns the number of worker threads a fanned-out kernel may use.
 pub fn max_threads() -> usize {
     let forced = MAX_THREADS_OVERRIDE.load(Ordering::Relaxed);
     if forced > 0 {
@@ -74,74 +75,9 @@ pub fn max_threads() -> usize {
     hardware_threads().min(16)
 }
 
-/// Splits `0..n` into contiguous chunks and invokes `body(start, end)` for
-/// each, potentially on multiple scoped threads.
-///
-/// `work` is an estimate of the total work in arbitrary units; when it is
-/// below [`PARALLEL_WORK_THRESHOLD`] (or only one thread is available) the
-/// call is executed serially on the current thread.
-///
-/// The closure receives disjoint `[start, end)` ranges covering `0..n`
-/// exactly once, so it may safely write to disjoint output slices (callers
-/// split buffers with `split_at_mut` or equivalent).
-pub fn parallel_chunks<F>(n: usize, work: usize, body: F)
-where
-    F: Fn(usize, usize) + Sync,
-{
-    if n == 0 {
-        return;
-    }
-    let threads = max_threads();
-    if threads <= 1 || work < PARALLEL_WORK_THRESHOLD || n == 1 {
-        body(0, n);
-        return;
-    }
-    let chunks = threads.min(n);
-    let chunk_size = n.div_ceil(chunks);
-    std::thread::scope(|scope| {
-        let body = &body;
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + chunk_size).min(n);
-            scope.spawn(move || body(start, end));
-            start = end;
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    #[test]
-    fn covers_range_exactly_once_serial() {
-        let seen = Mutex::new(vec![0u32; 10]);
-        parallel_chunks(10, 1, |s, e| {
-            let mut v = seen.lock().unwrap();
-            for i in s..e {
-                v[i] += 1;
-            }
-        });
-        assert!(seen.lock().unwrap().iter().all(|&c| c == 1));
-    }
-
-    #[test]
-    fn covers_range_exactly_once_parallel() {
-        let seen = Mutex::new(vec![0u32; 1000]);
-        parallel_chunks(1000, PARALLEL_WORK_THRESHOLD * 2, |s, e| {
-            let mut v = seen.lock().unwrap();
-            for i in s..e {
-                v[i] += 1;
-            }
-        });
-        assert!(seen.lock().unwrap().iter().all(|&c| c == 1));
-    }
-
-    #[test]
-    fn zero_items_is_noop() {
-        parallel_chunks(0, usize::MAX, |_, _| panic!("must not be called"));
-    }
 
     #[test]
     fn thread_override() {

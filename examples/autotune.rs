@@ -89,7 +89,7 @@ fn main() {
         out.logits.dims()[0]
     );
     let stats = Engine::shutdown(Box::new(pool));
-    for (name, tuning) in stats.backends.iter().zip(&stats.tuning) {
-        println!("  replica {name}: {tuning}");
+    for r in &stats.per_replica {
+        println!("  replica {}: {}", r.backend, r.tuning);
     }
 }

@@ -8,7 +8,7 @@ use bioformers::tensor::Tensor;
 
 /// Closed-loop clients driving any [`Engine`]: each owns an interleaved
 /// slice of `windows` and submits them one at a time. The same function
-/// drives the single-replica async engine and the sharded pool — topology
+/// drives a single worker-pool replica and a multi-replica pool — topology
 /// is the engine's business, not the client's.
 pub fn drive_clients(engine: &dyn Engine, windows: &Tensor, clients: usize) -> Vec<usize> {
     let n = windows.dims()[0];

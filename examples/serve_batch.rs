@@ -1,7 +1,8 @@
-//! Batched serving demo: one trained Bioformer answering through the
-//! [`InferenceEngine`] as fp32 and as the fully-integer int8 pipeline,
-//! plus the TEMPONet baseline — all driven through the unified
-//! [`Engine`] trait, with per-backend latency statistics.
+//! Batched serving demo: one trained Bioformer answering through an
+//! inline engine replica (`workers: 0`, served on the caller's thread) as
+//! fp32 and as the fully-integer int8 pipeline, plus the TEMPONet baseline
+//! — all driven through the [`Engine`] trait, with per-backend latency
+//! statistics.
 //!
 //! ```text
 //! cargo run --release --example serve_batch
@@ -12,7 +13,7 @@ use bioformers::core::{Bioformer, BioformerConfig, TempoNet};
 use bioformers::nn::serialize::state_dict;
 use bioformers::quant::QuantBioformer;
 use bioformers::semg::{DatasetSpec, NinaproDb6, Normalizer, CHANNELS, WINDOW};
-use bioformers::serve::{Engine, InferenceEngine};
+use bioformers::serve::{AsyncEngineConfig, Engine, GestureClassifier, ShardedEngine};
 use bioformers::tensor::Tensor;
 
 fn main() {
@@ -53,12 +54,25 @@ fn main() {
     let n = windows.dims()[0];
     println!("request batch: {n} windows of [{CHANNELS} x {WINDOW}]\n");
 
-    // 4. Serve through the unified `Engine` trait, per backend: the same
-    //    generic calls would drive an `AsyncEngine` or a `ShardedEngine`.
-    let engines: [Box<dyn Engine>; 3] = [
-        Box::new(InferenceEngine::new(Box::new(model)).with_micro_batch(16)),
-        Box::new(InferenceEngine::new(Box::new(qmodel)).with_micro_batch(16)),
-        Box::new(InferenceEngine::new(Box::new(TempoNet::new(0))).with_micro_batch(16)),
+    // 4. Serve through the `Engine` trait, one inline replica per backend:
+    //    the same generic calls would drive worker-pool replicas or a
+    //    multi-replica pool.
+    let inline = |backend: Box<dyn GestureClassifier>| -> Box<dyn Engine> {
+        Box::new(
+            ShardedEngine::builder()
+                .with_replica_config(
+                    AsyncEngineConfig::default()
+                        .with_workers(0)
+                        .with_micro_batch(16),
+                )
+                .add_replica(backend)
+                .build(),
+        )
+    };
+    let engines = [
+        inline(Box::new(model)),
+        inline(Box::new(qmodel)),
+        inline(Box::new(TempoNet::new(0))),
     ];
 
     println!(
@@ -75,9 +89,10 @@ fn main() {
             .filter(|(p, l)| p == l)
             .count();
         let stats = engine.engine_stats();
+        let backend = engine.backends().join("+");
         println!(
             "{:<16} {:>8} {:>7} {:>9.2?} {:>9.2?} {:>9.2?} {:>12.0} {:>8.1}%",
-            stats.backends.join("+"),
+            backend,
             stats.windows,
             stats.latency.micro_batches,
             stats.latency.mean,
@@ -86,7 +101,7 @@ fn main() {
             stats.throughput(),
             correct as f32 / n as f32 * 100.0,
         );
-        predictions.push((stats.backends.join("+"), out.predictions));
+        predictions.push((backend, out.predictions));
     }
 
     // 5. fp32 vs int8: same weights, two precisions, one trait.

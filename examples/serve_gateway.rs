@@ -5,7 +5,8 @@
 //! live. The exercise runs twice, with a guarantee matched to each
 //! topology:
 //!
-//! 1. **fp32 over an inline [`InferenceEngine`]** — every per-window
+//! 1. **fp32 over an inline [`ShardedEngine`] replica** (`workers: 0`) —
+//!    every per-window
 //!    prediction and the full event timeline are checked **bit-exactly**
 //!    against the offline extract-normalize-predict path.
 //! 2. **A heterogeneous [`ShardedEngine`] pool** mixing an fp32 replica
@@ -35,13 +36,23 @@ use bioformers::semg::windowing::extract_all_into;
 use bioformers::semg::{DatasetSpec, NinaproDb6, Normalizer, CHANNELS, WINDOW};
 use bioformers::serve::stream::confidence;
 use bioformers::serve::{
-    ClientSummary, DecisionPolicy, Engine, GatewayClient, GestureClassifier, HedgeConfig,
-    InferenceEngine, LatencyBudget, RoutingPolicy, ShardedEngine, StreamConfig, StreamServer,
+    AsyncEngineConfig, ClientSummary, DecisionPolicy, Engine, GatewayClient, GestureClassifier,
+    HedgeConfig, LatencyBudget, RoutingPolicy, ShardedEngine, StreamConfig, StreamServer,
     StreamServerConfig, StreamSession, TcpGateway,
 };
 use bioformers::tensor::Tensor;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// An inline engine replica: windows are classified on the pushing thread.
+fn inline(backend: Box<dyn GestureClassifier>) -> Arc<dyn Engine> {
+    Arc::new(
+        ShardedEngine::builder()
+            .with_replica_config(AsyncEngineConfig::default().with_workers(0))
+            .add_replica(backend)
+            .build(),
+    )
+}
 
 /// Interleaves a `[CHANNELS, frames]` signal into the frame-major order
 /// the wire protocol streams.
@@ -142,8 +153,7 @@ fn serve_and_verify(
             "[{label}] {tenant}: TCP-streamed predictions diverge from offline"
         );
 
-        let reference: Arc<dyn Engine> =
-            Arc::new(InferenceEngine::new(Box::new(Arc::clone(&backend))));
+        let reference = inline(Box::new(Arc::clone(&backend)));
         let mut rs = StreamSession::new(reference, cfg.clone()).expect("reference session");
         let mut ref_events = Vec::new();
         let burst = 50 * CHANNELS;
@@ -252,14 +262,14 @@ fn serve_mixed_pool(
     assert!(ps.rollup_consistent(), "pool totals must sum over replicas");
     for r in &ps.per_replica {
         assert!(
-            r.stats.requests > 0,
+            r.requests > 0,
             "replica {} ({}) served no traffic — routing never reached it",
             r.replica,
             r.backend
         );
         println!(
             "[{label}] replica {} [{}] weight {:.0}: {} requests, {} windows",
-            r.replica, r.backend, r.weight, r.stats.requests, r.stats.windows
+            r.replica, r.backend, r.weight, r.requests, r.windows
         );
     }
     println!(
@@ -335,7 +345,7 @@ fn main() {
     //    TCP-streamed results bit-match the offline path.
     serve_and_verify(
         "fp32",
-        Arc::new(InferenceEngine::new(Box::new(Arc::clone(&fmodel)))),
+        inline(Box::new(Arc::clone(&fmodel))),
         Arc::clone(&fmodel) as Arc<dyn GestureClassifier>,
         &cfg,
         &sessions,

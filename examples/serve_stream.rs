@@ -1,6 +1,7 @@
 //! Streaming serving demo: a live Ninapro DB6 session replayed **sample by
 //! sample** through a [`StreamSession`] — online sliding-window extraction,
-//! per-channel normalization, int8 inference through an [`AsyncEngine`],
+//! per-channel normalization, int8 inference through a worker-pool
+//! [`ShardedEngine`] replica,
 //! and majority-vote debouncing into typed [`GestureEvent`]s — then checked
 //! bit-exactly against the offline batch path.
 //!
@@ -16,7 +17,7 @@ use bioformers::semg::windowing::extract_all_into;
 use bioformers::semg::{DatasetSpec, Gesture, NinaproDb6, Normalizer, CHANNELS, WINDOW};
 use bioformers::serve::stream::confidence;
 use bioformers::serve::{
-    AsyncEngine, AsyncEngineConfig, DecisionPolicy, Engine, GestureClassifier, GestureEvent,
+    AsyncEngineConfig, DecisionPolicy, Engine, GestureClassifier, GestureEvent, ShardedEngine,
     StreamConfig, StreamSession,
 };
 use bioformers::tensor::Tensor;
@@ -71,13 +72,17 @@ fn main() {
 
     // 3. A streaming session over the int8 engine: push 25 ms bursts (the
     //    cadence a DMA buffer would fire at), get debounced events back.
-    let engine = std::sync::Arc::new(AsyncEngine::with_config(
-        Box::new(std::sync::Arc::clone(&qmodel)),
-        AsyncEngineConfig::default()
-            .with_workers(2)
-            .with_micro_batch(8)
-            .with_linger(Duration::from_micros(200)),
-    ));
+    let engine = std::sync::Arc::new(
+        ShardedEngine::builder()
+            .with_replica_config(
+                AsyncEngineConfig::default()
+                    .with_workers(2)
+                    .with_micro_batch(8)
+                    .with_linger(Duration::from_micros(200)),
+            )
+            .add_replica(Box::new(std::sync::Arc::clone(&qmodel)))
+            .build(),
+    );
     let policy = DecisionPolicy {
         vote_depth: 5,
         min_hold: 3,
@@ -185,11 +190,11 @@ fn main() {
     // The session (finished above) held the only other reference.
     let engine = std::sync::Arc::try_unwrap(engine)
         .unwrap_or_else(|_| panic!("session released its engine"));
+    let backends = Engine::backends(&engine).join("+");
     let stats = Engine::shutdown(Box::new(engine));
     println!(
-        "\nengine [{}] on {} served {} windows in {} batches ({:.1} req/batch, p95 {:?})",
-        stats.engine,
-        stats.backends.join("+"),
+        "\nengine on {} served {} windows in {} batches ({:.1} req/batch, p95 {:?})",
+        backends,
         stats.windows,
         stats.batches,
         stats.requests_per_batch(),

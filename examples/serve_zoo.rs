@@ -32,9 +32,9 @@ use bioformers::nn::serialize::state_dict;
 use bioformers::quant::QuantBioformer;
 use bioformers::semg::{CalibrationConfig, DatasetSpec, NinaproDb6, Normalizer, CHANNELS, WINDOW};
 use bioformers::serve::{
-    DecisionPolicy, Engine, GestureClassifier, InferenceEngine, ModelZoo, PromotionDecision,
-    PromotionPolicy, RouteMode, SessionOptions, StreamConfig, StreamServer, StreamServerConfig,
-    StreamSession,
+    AsyncEngineConfig, DecisionPolicy, Engine, GestureClassifier, ModelZoo, PromotionDecision,
+    PromotionPolicy, RouteMode, SessionOptions, ShardedEngine, StreamConfig, StreamServer,
+    StreamServerConfig, StreamSession,
 };
 use bioformers::tensor::Tensor;
 use std::sync::Arc;
@@ -65,8 +65,14 @@ fn session_prefix(db: &NinaproDb6, subject: usize, session: usize) -> Vec<f32> {
     interleave(&Tensor::from_vec(data, &[CHANNELS, len]))
 }
 
+/// An inline engine replica over `model`.
 fn engine_over(model: Arc<dyn GestureClassifier>) -> Arc<dyn Engine> {
-    Arc::new(InferenceEngine::new(Box::new(model)))
+    Arc::new(
+        ShardedEngine::builder()
+            .with_replica_config(AsyncEngineConfig::default().with_workers(0))
+            .add_replica(Box::new(model))
+            .build(),
+    )
 }
 
 fn main() {

@@ -31,17 +31,16 @@
 //! The [`serve`] module unifies every precision behind one infer-only
 //! trait, [`serve::GestureClassifier`] — the same trained network answers
 //! as fp32 or as the fully-integer int8 pipeline the MCU runs, with no
-//! model clones per request ([`nn::InferForward`]). Three engines sit on
-//! top: the synchronous, micro-batching [`serve::InferenceEngine`]
-//! (`examples/serve_batch.rs`); the concurrent [`serve::AsyncEngine`] — a
-//! bounded MPSC queue + worker pool that coalesces requests from many
-//! clients into shared micro-batches, with per-request deadlines,
-//! backpressure and graceful shutdown (`examples/serve_async.rs`); and
-//! the multi-replica [`serve::ShardedEngine`] — one submission API over N
-//! heterogeneous replicas with latency-aware routing, adaptive linger,
-//! quarantine with canary-probe re-admission and pool-level stats
-//! (`examples/serve_sharded.rs`). All three implement the unified
-//! [`serve::Engine`] trait, so clients are generic over topology, and the
+//! model clones per request ([`nn::InferForward`]). One engine sits on
+//! top, [`serve::ShardedEngine`]: a submission API over N ≥ 1 replicas,
+//! each a bounded MPSC queue feeding W ≥ 0 workers that coalesce requests
+//! from many clients into shared micro-batches, with per-request
+//! deadlines, backpressure, graceful shutdown, latency-aware routing,
+//! adaptive linger, quarantine with canary-probe re-admission and one
+//! stats row per replica (`examples/serve_sharded.rs`). A replica with
+//! `workers: 0` serves inline on the caller's thread — the offline
+//! evaluation topology (`examples/serve_batch.rs`). The engine implements
+//! the [`serve::Engine`] trait, so clients are generic over topology, and the
 //! [`serve::StreamSession`] layer turns a **raw sEMG sample stream** into
 //! debounced [`serve::GestureEvent`] decisions through any engine —
 //! bit-matching the offline batch path (`examples/serve_stream.rs`).

@@ -1,29 +1,32 @@
-//! The unified serving-engine contract: one trait over every topology.
+//! The serving-engine contract and its one statistics model.
 //!
-//! The three engines grew up with divergent entry points — the synchronous
-//! [`InferenceEngine`] had a bespoke `serve` returning a `ServeOutcome`,
-//! while [`AsyncEngine`] and [`ShardedEngine`] spoke
-//! `submit`/`classify`. [`Engine`] unifies them: **submit / classify /
-//! stats / shutdown with one [`ServeError`] surface**, so callers, tests
-//! and higher layers (the streaming [`StreamSession`](super::StreamSession)
-//! in particular) are generic over backend topology — swap a single-caller
-//! inline engine for a sharded heterogeneous pool without touching client
-//! code.
+//! [`Engine`] is **submit / classify / stats / shutdown with one
+//! [`ServeError`] surface**, so callers, tests and higher layers (the
+//! streaming [`StreamSession`](super::StreamSession) in particular) are
+//! generic over topology. [`ShardedEngine`] implements it for every
+//! topology — an inline replica (`workers: 0`), one replica with a worker
+//! pool, or a routed pool of heterogeneous replicas — and the zoo's
+//! [`ShadowEngine`](super::ShadowEngine) wraps any engine in a live
+//! experiment.
 //!
 //! ```
 //! use bioformers::core::{Bioformer, BioformerConfig};
-//! use bioformers::serve::{AsyncEngine, Engine, InferenceEngine, ShardedEngine};
+//! use bioformers::serve::{AsyncEngineConfig, Engine, ShardedEngine};
 //! use bioformers::tensor::Tensor;
 //! use std::sync::Arc;
 //!
 //! let model = Arc::new(Bioformer::new(&BioformerConfig::bio1()));
-//! let engines: Vec<Box<dyn Engine>> = vec![
-//!     Box::new(InferenceEngine::new(Box::new(Arc::clone(&model)))),
-//!     Box::new(AsyncEngine::new(Box::new(Arc::clone(&model)))),
-//!     Box::new(ShardedEngine::builder()
-//!         .add_replica(Box::new(Arc::clone(&model)))
-//!         .build()),
-//! ];
+//! let engines: Vec<Box<dyn Engine>> = [0, 1]
+//!     .into_iter()
+//!     .map(|workers| -> Box<dyn Engine> {
+//!         Box::new(
+//!             ShardedEngine::builder()
+//!                 .with_replica_config(AsyncEngineConfig::default().with_workers(workers))
+//!                 .add_replica(Box::new(Arc::clone(&model)))
+//!                 .build(),
+//!         )
+//!     })
+//!     .collect();
 //! for engine in engines {
 //!     let out = engine.classify(Tensor::zeros(&[2, 14, 300])).unwrap();
 //!     assert_eq!(out.logits.dims(), &[2, 8]);
@@ -32,52 +35,128 @@
 //! ```
 
 use super::queue::{PendingResponse, RequestOutput, ServeError};
-use super::router::{PoolStats, ShardedEngine};
-use super::worker::{AsyncEngine, AsyncStats};
-use super::{InferenceEngine, LatencyStats};
+use super::router::ShardedEngine;
+use super::LatencyStats;
 use bioformer_tensor::Tensor;
 use std::time::Duration;
 
-/// One serving summary schema for every engine topology, so dashboards and
-/// generic callers need a single type. Counter semantics match
-/// [`AsyncStats`] (for the synchronous engine, each `serve`/`classify`
-/// call is one request and one executed batch).
-#[derive(Debug, Clone)]
-pub struct EngineStats {
-    /// The engine topology: `"inference"`, `"async"` or `"sharded"`.
-    pub engine: &'static str,
-    /// Backend name per replica (one entry for the single-backend engines).
-    pub backends: Vec<String>,
-    /// Compute-backend report per replica, parallel to `backends` —
-    /// `"default"` for untuned replicas, or the tuned table summary
-    /// (kernel tier plus per-shape winners) for replicas built through the
-    /// autotuner.
-    pub tuning: Vec<String>,
+/// One replica's row inside an [`EngineStats`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReplicaStats {
+    /// Replica index (0-based, in `add_replica` order).
+    pub replica: usize,
+    /// The replica backend's name, e.g. `"bioformer-int8"`.
+    pub backend: String,
+    /// The backend's compute report — `"default"` for backends without a
+    /// compute seam, or the kernel tier plus per-shape winners for
+    /// replicas built through the autotuner.
+    pub tuning: String,
+    /// Whether the router has quarantined this replica.
+    pub quarantined: bool,
+    /// The replica's routing weight (1.0 unless set via
+    /// [`ShardedEngineBuilder::add_replica_weighted`](super::ShardedEngineBuilder::add_replica_weighted)).
+    pub weight: f64,
+    /// Requests waiting in this replica's queue at snapshot time (always 0
+    /// for an inline replica).
+    pub queue_depth: usize,
+    /// EWMA of this replica's coalesced-batch backend latency. `None`
+    /// before the first executed batch.
+    pub ewma_batch_latency: Option<Duration>,
+    /// EWMA of this replica's per-window backend latency — the signal
+    /// [`RoutingPolicy::LatencyAware`](super::RoutingPolicy::LatencyAware)
+    /// routes on. `None` before the first executed batch.
+    pub ewma_window_latency: Option<Duration>,
     /// Requests served (responses delivered with logits).
     pub requests: usize,
     /// Requests expired for missing their deadline.
     pub expired: usize,
-    /// Requests cancelled because a backend panicked mid-batch.
+    /// Requests cancelled because the backend panicked mid-batch.
     pub failed: usize,
-    /// Requests rejected by validation (bad rank or window shape).
+    /// Requests rejected by validation: a bad rank or window shape at
+    /// submission, or a shape mismatch caught while forming a batch.
     pub rejected: usize,
-    /// Batches executed (the backend was actually invoked).
+    /// Batches executed (the backend was actually invoked; batches of only
+    /// zero-window requests don't count).
     pub batches: usize,
     /// Batches that coalesced more than one request.
     pub coalesced_batches: usize,
-    /// Total windows served.
+    /// Windows served.
     pub windows: usize,
-    /// Micro-batch latency summary across all workers/replicas.
+    /// Micro-batch latency summary. Count, total, mean, min and max are
+    /// exact over the replica's lifetime; p50/p95/p99 are estimated over a
+    /// sliding window of the most recent samples.
     pub latency: LatencyStats,
 }
 
+/// Serving statistics of an engine: one [`ReplicaStats`] row per replica,
+/// and pool totals summed from those rows — the shape
+/// [`ServerStats`](super::ServerStats) has over its tenants.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct EngineStats {
+    /// Requests served; the sum over `per_replica`.
+    pub requests: usize,
+    /// Requests expired for missing their deadline; the sum over
+    /// `per_replica`.
+    pub expired: usize,
+    /// Requests cancelled because a backend panicked mid-batch; the sum
+    /// over `per_replica`.
+    pub failed: usize,
+    /// Requests rejected by validation; the sum over `per_replica`.
+    pub rejected: usize,
+    /// Batches executed; the sum over `per_replica`.
+    pub batches: usize,
+    /// Batches that coalesced more than one request; the sum over
+    /// `per_replica`.
+    pub coalesced_batches: usize,
+    /// Windows served; the sum over `per_replica`.
+    pub windows: usize,
+    /// Micro-batch latency summary across every replica (exact
+    /// count/total/mean/min/max; percentiles estimated over the replicas'
+    /// recent-sample windows).
+    pub latency: LatencyStats,
+    /// Hedged duplicates fired by
+    /// [`ShardedEngine::classify`]. A pool-level counter, outside the
+    /// per-replica sums: the duplicate itself is counted as an ordinary
+    /// request in the hedge replica's row.
+    pub hedges_fired: usize,
+    /// Hedged duplicates whose answer was the one returned to the caller.
+    pub hedges_won: usize,
+    /// One row per replica, in `add_replica` order.
+    pub per_replica: Vec<ReplicaStats>,
+}
+
 impl EngineStats {
+    /// Builds the pool view over `per_replica`, summing every counter total
+    /// from the rows.
+    pub(crate) fn from_rows(
+        per_replica: Vec<ReplicaStats>,
+        latency: LatencyStats,
+        hedges_fired: usize,
+        hedges_won: usize,
+    ) -> Self {
+        let sum = |f: fn(&ReplicaStats) -> usize| per_replica.iter().map(f).sum();
+        EngineStats {
+            requests: sum(|r| r.requests),
+            expired: sum(|r| r.expired),
+            failed: sum(|r| r.failed),
+            rejected: sum(|r| r.rejected),
+            batches: sum(|r| r.batches),
+            coalesced_batches: sum(|r| r.coalesced_batches),
+            windows: sum(|r| r.windows),
+            latency,
+            hedges_fired,
+            hedges_won,
+            per_replica,
+        }
+    }
+
     /// Windows served per second of backend time (0.0 before any work).
     pub fn throughput(&self) -> f64 {
         self.latency.throughput()
     }
 
-    /// Mean requests per executed batch (0.0 before any work).
+    /// Mean requests per executed batch (0.0 before any work) — the
+    /// coalescing factor: > 1 means cross-request batching is happening.
     pub fn requests_per_batch(&self) -> f64 {
         if self.batches == 0 {
             0.0
@@ -85,49 +164,24 @@ impl EngineStats {
             self.requests as f64 / self.batches as f64
         }
     }
-}
 
-/// Flattens an [`AsyncStats`] into the unified schema.
-pub(crate) fn stats_from_async(
-    engine: &'static str,
-    backends: Vec<String>,
-    tuning: Vec<String>,
-    s: AsyncStats,
-) -> EngineStats {
-    EngineStats {
-        engine,
-        backends,
-        tuning,
-        requests: s.requests,
-        expired: s.expired,
-        failed: s.failed,
-        rejected: s.rejected,
-        batches: s.batches,
-        coalesced_batches: s.coalesced_batches,
-        windows: s.windows,
-        latency: s.latency,
+    /// Whether every pool total equals the sum of its per-replica rows.
+    /// Engine snapshots hold it by construction; it is the invariant
+    /// [`ServerStats::rollup_consistent`](super::ServerStats::rollup_consistent)
+    /// mirrors over tenants.
+    pub fn rollup_consistent(&self) -> bool {
+        let rebuilt = EngineStats::from_rows(
+            self.per_replica.clone(),
+            self.latency.clone(),
+            self.hedges_fired,
+            self.hedges_won,
+        );
+        rebuilt == *self
     }
 }
 
-/// Flattens a [`PoolStats`] into the unified schema.
-fn stats_from_pool(backends: Vec<String>, tuning: Vec<String>, s: PoolStats) -> EngineStats {
-    EngineStats {
-        engine: "sharded",
-        backends,
-        tuning,
-        requests: s.requests,
-        expired: s.expired,
-        failed: s.failed,
-        rejected: s.rejected,
-        batches: s.batches,
-        coalesced_batches: s.coalesced_batches,
-        windows: s.windows,
-        latency: s.latency,
-    }
-}
-
-/// The unified serving contract implemented by all three engines
-/// ([`InferenceEngine`], [`AsyncEngine`], [`ShardedEngine`]).
+/// The serving contract, implemented by [`ShardedEngine`] for every
+/// topology and by the zoo's [`ShadowEngine`](super::ShadowEngine).
 ///
 /// The trait is object-safe: `&dyn Engine` / `Box<dyn Engine>` let tests
 /// and clients switch serving topology at runtime. Every method reports
@@ -136,21 +190,20 @@ fn stats_from_pool(backends: Vec<String>, tuning: Vec<String>, s: PoolStats) -> 
 ///
 /// Semantics worth knowing when writing engine-generic code:
 ///
-/// * [`Engine::submit`] on the synchronous engine **serves inline** —
-///   the returned [`PendingResponse`] is already resolved by the time you
-///   get it, and `try_submit`/`submit_with_deadline` behave like `submit`
-///   (there is no queue to be full and service starts immediately, so a
-///   positive deadline cannot expire).
-/// * The concurrent engines validate shapes at submission and may make a
+/// * On an inline replica (`workers: 0`) [`Engine::submit`] **serves on
+///   the calling thread** — the returned [`PendingResponse`] is already
+///   resolved by the time you get it, and `try_submit` never reports
+///   [`ServeError::QueueFull`] (there is no queue to be full).
+/// * Replicas with workers validate shapes at submission and may make a
 ///   caller of `submit` wait when the bounded queue is full; `try_submit`
 ///   fails fast with [`ServeError::QueueFull`] instead.
 /// * [`Engine::shutdown`] always drains accepted work before returning
 ///   the final statistics.
 pub trait Engine: Send + Sync {
-    /// The engine topology: `"inference"`, `"async"` or `"sharded"`.
+    /// The engine type: `"sharded"`, or `"shadow"` for a zoo experiment.
     fn kind(&self) -> &'static str;
 
-    /// Backend name per replica (single-element for one-backend engines).
+    /// Backend name per replica.
     fn backends(&self) -> Vec<String>;
 
     /// Number of output classes (the width of the logit rows).
@@ -158,7 +211,7 @@ pub trait Engine: Send + Sync {
 
     /// The `[channels, samples]` window shape this engine serves, when
     /// known — declared by the backend(s) or pinned by traffic. `None`
-    /// when unknown or (for a sharded pool) when replicas disagree.
+    /// when unknown or when replicas disagree.
     fn input_shape(&self) -> Option<(usize, usize)>;
 
     /// Submits a request batch `[n, channels, samples]`, blocking while a
@@ -183,122 +236,12 @@ pub trait Engine: Send + Sync {
         self.submit(windows)?.wait()
     }
 
-    /// A live snapshot of the engine's serving statistics in the unified
-    /// [`EngineStats`] schema.
+    /// A live snapshot of the engine's serving statistics.
     fn engine_stats(&self) -> EngineStats;
 
     /// Graceful shutdown: stops accepting requests, drains and serves
     /// everything already accepted, and returns the final statistics.
     fn shutdown(self: Box<Self>) -> EngineStats;
-}
-
-impl Engine for InferenceEngine {
-    fn kind(&self) -> &'static str {
-        "inference"
-    }
-
-    fn backends(&self) -> Vec<String> {
-        vec![self.backend_name().to_string()]
-    }
-
-    fn num_classes(&self) -> usize {
-        InferenceEngine::num_classes(self)
-    }
-
-    fn input_shape(&self) -> Option<(usize, usize)> {
-        InferenceEngine::input_shape(self)
-    }
-
-    /// Serves inline on the calling thread; the returned handle is already
-    /// resolved.
-    fn submit(&self, windows: Tensor) -> Result<PendingResponse, ServeError> {
-        let outcome = self.serve_checked(&windows)?;
-        let n = windows.dims()[0];
-        let (tx, rx) = std::sync::mpsc::channel();
-        let _ = tx.send(Ok(RequestOutput {
-            logits: outcome.logits,
-            predictions: outcome.predictions,
-            queue_wait: Duration::ZERO,
-            batch_requests: 1,
-            batch_windows: n,
-            batch_latency: outcome.stats.total,
-        }));
-        Ok(PendingResponse { rx, windows: n })
-    }
-
-    /// Identical to [`Engine::submit`]: the inline engine has no queue to
-    /// be full.
-    fn try_submit(&self, windows: Tensor) -> Result<PendingResponse, ServeError> {
-        Engine::submit(self, windows)
-    }
-
-    /// Identical to [`Engine::submit`]: service starts immediately, so a
-    /// deadline in the future cannot expire before service.
-    fn submit_with_deadline(
-        &self,
-        windows: Tensor,
-        _ttl: Duration,
-    ) -> Result<PendingResponse, ServeError> {
-        Engine::submit(self, windows)
-    }
-
-    fn engine_stats(&self) -> EngineStats {
-        self.stats()
-    }
-
-    fn shutdown(self: Box<Self>) -> EngineStats {
-        self.stats()
-    }
-}
-
-impl Engine for AsyncEngine {
-    fn kind(&self) -> &'static str {
-        "async"
-    }
-
-    fn backends(&self) -> Vec<String> {
-        vec![self.backend_name().to_string()]
-    }
-
-    fn num_classes(&self) -> usize {
-        AsyncEngine::num_classes(self)
-    }
-
-    fn input_shape(&self) -> Option<(usize, usize)> {
-        AsyncEngine::input_shape(self)
-    }
-
-    fn submit(&self, windows: Tensor) -> Result<PendingResponse, ServeError> {
-        AsyncEngine::submit(self, windows)
-    }
-
-    fn try_submit(&self, windows: Tensor) -> Result<PendingResponse, ServeError> {
-        AsyncEngine::try_submit(self, windows)
-    }
-
-    fn submit_with_deadline(
-        &self,
-        windows: Tensor,
-        ttl: Duration,
-    ) -> Result<PendingResponse, ServeError> {
-        AsyncEngine::submit_with_deadline(self, windows, ttl)
-    }
-
-    fn engine_stats(&self) -> EngineStats {
-        stats_from_async(
-            "async",
-            Engine::backends(self),
-            vec![self.compute_report().to_string()],
-            self.stats(),
-        )
-    }
-
-    fn shutdown(self: Box<Self>) -> EngineStats {
-        let backends = Engine::backends(self.as_ref());
-        let tuning = vec![self.compute_report().to_string()];
-        let this = *self;
-        stats_from_async("async", backends, tuning, AsyncEngine::shutdown(this))
-    }
 }
 
 impl Engine for ShardedEngine {
@@ -342,13 +285,10 @@ impl Engine for ShardedEngine {
     }
 
     fn engine_stats(&self) -> EngineStats {
-        stats_from_pool(self.backend_names(), self.compute_reports(), self.stats())
+        self.stats()
     }
 
     fn shutdown(self: Box<Self>) -> EngineStats {
-        let backends = self.backend_names();
-        let tuning = self.compute_reports();
-        let this = *self;
-        stats_from_pool(backends, tuning, ShardedEngine::shutdown(this))
+        ShardedEngine::shutdown(*self)
     }
 }

@@ -9,26 +9,21 @@
 //!   [`QuantBioformer`]. All impls run through the shared-state
 //!   [`bioformer_nn::InferForward`] path, so no backend clones model
 //!   weights per request.
-//! * [`InferenceEngine`] — the synchronous engine: owns a boxed backend,
-//!   splits arbitrarily-sized request batches into model-sized
-//!   micro-batches and reports per-batch latency statistics. One caller,
-//!   one request at a time.
-//! * [`AsyncEngine`] — the concurrent engine: a bounded MPSC request
-//!   [`queue`] feeding a [`worker`] pool that **coalesces requests from
-//!   many clients into shared micro-batches** (flush on batch-full or a
-//!   configurable linger deadline), with per-request deadlines,
-//!   backpressure and graceful shutdown.
-//! * [`ShardedEngine`] — the multi-replica engine: one submission API
-//!   fanning out over N backend replicas (each its own queue + worker
-//!   pool, possibly different precisions), with policy-driven
+//! * [`ShardedEngine`] — the one engine: a submission API over N ≥ 1
+//!   backend replicas (possibly different precisions), with policy-driven
 //!   [`router`]-level routing ([`RoutingPolicy`]), quarantine of dead or
-//!   failing replicas, adaptive per-replica linger, and pool-level
-//!   statistics rollup.
+//!   failing replicas and one [`EngineStats`] row per replica. Each
+//!   replica is a bounded MPSC request [`queue`] feeding `W` [`worker`]s
+//!   that **coalesce requests from many clients into shared
+//!   micro-batches** (flush on batch-full or a linger deadline), with
+//!   per-request deadlines, backpressure and graceful shutdown. `W = 0`
+//!   serves inline: requests run on the caller's thread, split into
+//!   model-sized micro-batches, and `submit` returns a resolved handle.
 //!
-//! All three engines implement the unified [`Engine`] trait
-//! (submit / classify / stats / shutdown over one [`ServeError`] surface),
-//! so callers can be generic over topology; the [`StreamSession`] layer
-//! builds on that to turn a **raw sEMG sample stream** into debounced
+//! The engine implements the [`Engine`] trait (submit / classify / stats /
+//! shutdown over one [`ServeError`] surface), so callers can be generic
+//! over topology; the [`StreamSession`] layer builds on that to turn a
+//! **raw sEMG sample stream** into debounced
 //! [`GestureEvent`] decisions through any engine. One level up,
 //! [`StreamServer`] multiplexes N concurrent sessions over one shared
 //! engine with bounded per-session buffers, round-robin fairness,
@@ -41,15 +36,18 @@
 //!
 //! ```
 //! use bioformers::core::{Bioformer, BioformerConfig};
-//! use bioformers::serve::{Engine, InferenceEngine};
+//! use bioformers::serve::{AsyncEngineConfig, ShardedEngine};
 //! use bioformers::tensor::Tensor;
 //!
-//! let engine = InferenceEngine::new(Box::new(Bioformer::new(&BioformerConfig::bio1())))
-//!     .with_micro_batch(8);
+//! // One inline replica: no threads, requests run on the caller's thread.
+//! let engine = ShardedEngine::builder()
+//!     .with_replica_config(AsyncEngineConfig::default().with_workers(0).with_micro_batch(8))
+//!     .add_replica(Box::new(Bioformer::new(&BioformerConfig::bio1())))
+//!     .build();
 //! let out = engine.classify(Tensor::zeros(&[3, 14, 300])).unwrap();
 //! assert_eq!(out.logits.dims(), &[3, 8]);
 //! assert_eq!(out.predictions.len(), 3);
-//! assert_eq!(engine.engine_stats().requests, 1);
+//! assert_eq!(engine.stats().requests, 1);
 //! ```
 
 pub mod client;
@@ -64,12 +62,11 @@ pub mod worker;
 pub mod zoo;
 
 pub use client::{ClientSessionStats, ClientSummary, GatewayClient, GatewayError};
-pub use engine::{Engine, EngineStats};
+pub use engine::{Engine, EngineStats, ReplicaStats};
 pub use proto::{ErrorCode, Frame, FrameDecoder, ProtoError};
 pub use queue::{PendingResponse, RequestOutput, ServeError};
 pub use router::{
-    HedgeConfig, PoolStats, ReplicaStats, RoutingPolicy, ShardedEngine, ShardedEngineBuilder,
-    ShardedEngineConfig,
+    HedgeConfig, RoutingPolicy, ShardedEngine, ShardedEngineBuilder, ShardedEngineConfig,
 };
 pub use server::{
     FinishReport, ServeCounters, ServerStats, SessionHandle, SessionOptions, SessionStats,
@@ -82,7 +79,7 @@ pub use stream::{
 pub use trace::{
     BudgetReport, LatencyBudget, LatencyTrace, StageRecorder, StageStats, StageSummary,
 };
-pub use worker::{AsyncEngine, AsyncEngineConfig, AsyncStats, LingerPolicy, WorkerStats};
+pub use worker::{AsyncEngineConfig, LingerPolicy};
 pub use zoo::{
     ExperimentStats, ModelStats, ModelZoo, PromotionDecision, PromotionPolicy, RouteMode,
     ShadowEngine, ZooStats,
@@ -97,7 +94,7 @@ pub mod prelude {
     pub use super::client::{ClientSummary, GatewayClient, GatewayError};
     pub use super::engine::{Engine, EngineStats};
     pub use super::queue::{PendingResponse, RequestOutput, ServeError};
-    pub use super::router::{PoolStats, RoutingPolicy, ShardedEngine};
+    pub use super::router::{RoutingPolicy, ShardedEngine};
     pub use super::server::{
         ServerStats, SessionHandle, SessionOptions, StreamServer, StreamServerConfig, TcpGateway,
     };
@@ -106,11 +103,9 @@ pub mod prelude {
         StreamSession, StreamSummary,
     };
     pub use super::trace::{LatencyBudget, LatencyTrace, StageStats, StageSummary};
-    pub use super::worker::{AsyncEngine, AsyncEngineConfig, AsyncStats, LingerPolicy};
+    pub use super::worker::{AsyncEngineConfig, LingerPolicy};
     pub use super::zoo::{ModelZoo, PromotionDecision, PromotionPolicy, RouteMode, ZooStats};
-    pub use super::{
-        tuned_compute, GestureClassifier, InferenceEngine, LatencyStats, ServeOutcome,
-    };
+    pub use super::{tuned_compute, GestureClassifier, LatencyStats};
 }
 
 use bioformer_core::{Bioformer, TempoNet, WaveFormer};
@@ -120,7 +115,7 @@ use bioformer_semg::GESTURE_CLASSES;
 use bioformer_tensor::backend::{ComputeBackend, PackedCpuBackend};
 use bioformer_tensor::tune::{tune, GemmShape, TuneTable};
 use bioformer_tensor::{Tensor, TensorArena};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// An inference-only gesture classifier: maps a batch of sEMG windows
@@ -157,8 +152,8 @@ pub trait GestureClassifier: Send + Sync {
 
     /// The `[channels, samples]` window shape this backend serves, when
     /// fixed and known. Engines use it to reject malformed requests at
-    /// submission time; `None` (the default) makes the async engine fall
-    /// back to pinning the shape of the first successfully queued request.
+    /// submission time; `None` (the default) makes a replica fall back to
+    /// pinning the shape of the first accepted request.
     fn input_shape(&self) -> Option<(usize, usize)> {
         None
     }
@@ -173,7 +168,7 @@ pub trait GestureClassifier: Send + Sync {
 
     /// One-line description of the compute backend the model routes
     /// through (tuning state included) — surfaced per replica in
-    /// [`EngineStats::tuning`]. Backends without a compute seam report
+    /// [`ReplicaStats::tuning`]. Backends without a compute seam report
     /// `"default"`.
     fn compute_report(&self) -> String {
         "default".to_string()
@@ -376,10 +371,11 @@ impl GestureClassifier for QuantBioformer {
 /// small enough to bound per-request latency.
 pub const DEFAULT_MICRO_BATCH: usize = 32;
 
-/// Latency statistics over the micro-batches of one
-/// [`InferenceEngine::serve_checked`] call. Durations cover the backend's
-/// `predict_batch` only (splitting and reassembly are excluded).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Latency statistics over backend micro-batches — one replica's in a
+/// [`ReplicaStats`] row, every replica's in an [`EngineStats`]. Durations
+/// cover the backend's `predict_batch` only (splitting and reassembly are
+/// excluded).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LatencyStats {
     /// Number of micro-batches executed (0 for an empty request).
     pub micro_batches: usize,
@@ -463,201 +459,10 @@ impl LatencyStats {
     }
 }
 
-/// The result of serving one request batch.
-#[derive(Debug, Clone)]
-pub struct ServeOutcome {
-    /// Logits `[n, classes]`, row-aligned with the request windows.
-    pub logits: Tensor,
-    /// Argmax class per window.
-    pub predictions: Vec<usize>,
-    /// Micro-batch latency statistics for this request.
-    pub stats: LatencyStats,
-}
-
-/// A micro-batching inference engine over one [`GestureClassifier`] backend.
-///
-/// Requests of any size are split into micro-batches of at most
-/// [`InferenceEngine::micro_batch`] windows; results are reassembled in
-/// request order, so serving is batch-size invariant: the logits equal a
-/// single full-batch `predict_batch` call bar float associativity.
-///
-/// This is the synchronous member of the [`Engine`] family: requests are
-/// served **inline on the calling thread** ([`Engine::submit`] returns an
-/// already-resolved handle), which makes it the right engine for offline
-/// evaluation, batch jobs, and single-caller streaming. Use
-/// [`InferenceEngine::serve_checked`] directly when you want the
-/// per-request [`ServeOutcome`] with micro-batch latency statistics.
-pub struct InferenceEngine {
-    backend: Box<dyn GestureClassifier>,
-    micro_batch: usize,
-    /// Scratch arena reused across `serve` calls (one caller at a time, so
-    /// a mutex — workers in the async engines own per-thread arenas
-    /// instead).
-    arena: Mutex<TensorArena>,
-    /// Lifetime counters behind the [`Engine::engine_stats`] view; the
-    /// per-call [`ServeOutcome::stats`] stay per-call.
-    totals: Mutex<worker::WorkerInner>,
-}
-
-impl InferenceEngine {
-    /// Wraps `backend` with the [`DEFAULT_MICRO_BATCH`] size.
-    pub fn new(backend: Box<dyn GestureClassifier>) -> Self {
-        InferenceEngine {
-            backend,
-            micro_batch: DEFAULT_MICRO_BATCH,
-            arena: Mutex::new(TensorArena::new()),
-            totals: Mutex::new(worker::WorkerInner::default()),
-        }
-    }
-
-    /// Sets the micro-batch size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `micro_batch` is 0.
-    pub fn with_micro_batch(mut self, micro_batch: usize) -> Self {
-        assert!(micro_batch > 0, "InferenceEngine: micro_batch must be >= 1");
-        self.micro_batch = micro_batch;
-        self
-    }
-
-    /// The configured micro-batch size.
-    pub fn micro_batch(&self) -> usize {
-        self.micro_batch
-    }
-
-    /// Installs a [`ComputeBackend`] on the backend model (no-op for
-    /// backends without a compute seam — including `Arc`-shared models,
-    /// which must be tuned before sharing).
-    pub fn with_compute(mut self, compute: Arc<dyn ComputeBackend>) -> Self {
-        self.backend.install_compute(compute);
-        self
-    }
-
-    /// Autotunes a compute backend for the model's GEMM shapes (honouring
-    /// `BIOFORMER_TUNE`) and installs it. Use [`tuned_compute`] directly
-    /// when you also want the [`TuneTable`] (to persist it as JSON or read
-    /// the decision log).
-    pub fn with_tuned_compute(self) -> Self {
-        let (compute, _table) = tuned_compute(self.backend.as_ref());
-        self.with_compute(compute)
-    }
-
-    /// The backend model's compute report (tuning state included).
-    pub fn compute_report(&self) -> String {
-        self.backend.compute_report()
-    }
-
-    /// The backend's name.
-    pub fn backend_name(&self) -> &str {
-        self.backend.name()
-    }
-
-    /// The backend's class count.
-    pub fn num_classes(&self) -> usize {
-        self.backend.num_classes()
-    }
-
-    /// The `[channels, samples]` window shape this engine serves, when the
-    /// backend declares one.
-    pub fn input_shape(&self) -> Option<(usize, usize)> {
-        self.backend.input_shape()
-    }
-
-    /// Serves a request batch `[n, channels, samples]` (`n` may be 0, and
-    /// need not divide the micro-batch size), returning the per-request
-    /// [`ServeOutcome`] with micro-batch latency statistics.
-    ///
-    /// Concurrent callers run their backend forwards in parallel: the
-    /// engine's shared scratch arena is taken with `try_lock`, and a
-    /// contending caller falls back to a throwaway arena (paying that
-    /// call's allocations) rather than serialising on the lock.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::BadRequest`] when `windows` is not rank-3 or its
-    /// `[channels, samples]` differ from the backend's declared
-    /// [`GestureClassifier::input_shape`] — the same validation surface as
-    /// the concurrent engines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the backend returns logits of the wrong shape (backend
-    /// contract violation).
-    pub fn serve_checked(&self, windows: &Tensor) -> Result<ServeOutcome, ServeError> {
-        if windows.dims().len() != 3 {
-            self.totals
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .note_rejected();
-            return Err(ServeError::BadRequest(format!(
-                "windows must be [n, channels, samples], got {:?}",
-                windows.dims()
-            )));
-        }
-        let (n, c, s) = (windows.dims()[0], windows.dims()[1], windows.dims()[2]);
-        if let Some((ec, es)) = self.backend.input_shape() {
-            if (c, s) != (ec, es) {
-                self.totals
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .note_rejected();
-                return Err(ServeError::BadRequest(format!(
-                    "window shape [{c}, {s}] does not match engine shape [{ec}, {es}]"
-                )));
-            }
-        }
-        // Reuse the engine arena when free; never block a concurrent
-        // caller on it — scratch reuse is an optimisation, not a
-        // serialisation point.
-        let mut guard = match self.arena.try_lock() {
-            Ok(guard) => Some(guard),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        };
-        let mut local = TensorArena::new();
-        let arena = guard.as_deref_mut().unwrap_or(&mut local);
-        let (logits, mut latencies) =
-            predict_chunked(self.backend.as_ref(), windows, self.micro_batch, arena);
-        drop(guard);
-        let predictions = if n == 0 {
-            Vec::new()
-        } else {
-            logits.argmax_rows()
-        };
-        self.totals
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .note_served(n, &latencies);
-        Ok(ServeOutcome {
-            logits,
-            predictions,
-            stats: LatencyStats::from_samples(&mut latencies, n),
-        })
-    }
-
-    /// Lifetime serving statistics in the unified [`EngineStats`] schema
-    /// (each `serve_checked`/`classify` call that reached the backend is
-    /// one request and one executed batch).
-    pub fn stats(&self) -> EngineStats {
-        let inner = self
-            .totals
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone();
-        engine::stats_from_async(
-            "inference",
-            vec![self.backend.name().to_string()],
-            vec![self.backend.compute_report()],
-            inner.into_stats(Vec::new()),
-        )
-    }
-}
-
 /// Runs `windows` (`[n, channels, samples]`) through `backend` in chunks of
 /// at most `micro` rows, reassembling logits in request order and recording
-/// one backend latency sample per chunk. Shared by the sync engine and the
-/// async worker pool so both have identical micro-batch semantics.
+/// one backend latency sample per chunk — how every replica executes a
+/// batch, inline or on a worker.
 ///
 /// Scratch (chunk copies, per-chunk logits, and the backend's internal
 /// intermediates) comes from `arena`; the returned logits tensor may be
@@ -721,15 +526,6 @@ pub(crate) fn predict_chunked(
     (logits, latencies)
 }
 
-impl std::fmt::Debug for InferenceEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("InferenceEngine")
-            .field("backend", &self.backend.name())
-            .field("micro_batch", &self.micro_batch)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -760,23 +556,31 @@ mod tests {
         }
     }
 
-    fn probe_engine(micro: usize) -> (InferenceEngine, Arc<Mutex<Vec<usize>>>) {
+    /// An inline replica (`workers: 0`) over the probe backend.
+    fn probe_engine(micro: usize) -> (ShardedEngine, Arc<Mutex<Vec<usize>>>) {
         let seen = Arc::new(Mutex::new(Vec::new()));
-        let engine = InferenceEngine::new(Box::new(Probe {
-            classes: 4,
-            seen: Arc::clone(&seen),
-        }))
-        .with_micro_batch(micro);
+        let engine = ShardedEngine::builder()
+            .with_replica_config(
+                AsyncEngineConfig::default()
+                    .with_workers(0)
+                    .with_micro_batch(micro),
+            )
+            .add_replica(Box::new(Probe {
+                classes: 4,
+                seen: Arc::clone(&seen),
+            }))
+            .build();
         (engine, seen)
     }
 
     #[test]
     fn splits_non_divisible_batches() {
         let (engine, seen) = probe_engine(3);
-        let out = engine.serve_checked(&Tensor::zeros(&[7, 2, 5])).unwrap();
+        let out = engine.classify(Tensor::zeros(&[7, 2, 5])).unwrap();
         assert_eq!(*seen.lock().unwrap(), vec![3, 3, 1]);
-        assert_eq!(out.stats.micro_batches, 3);
-        assert_eq!(out.stats.windows, 7);
+        let stats = engine.stats();
+        assert_eq!(stats.latency.micro_batches, 3);
+        assert_eq!(stats.latency.windows, 7);
         assert_eq!(out.logits.dims(), &[7, 4]);
         // Last micro-batch has 1 window; its logit row must be 0.
         assert_eq!(out.logits.row(6), &[0.0; 4]);
@@ -785,20 +589,21 @@ mod tests {
     #[test]
     fn empty_batch_is_served_without_backend_calls() {
         let (engine, seen) = probe_engine(4);
-        let out = engine.serve_checked(&Tensor::zeros(&[0, 2, 5])).unwrap();
+        let out = engine.classify(Tensor::zeros(&[0, 2, 5])).unwrap();
         assert!(seen.lock().unwrap().is_empty());
         assert_eq!(out.logits.dims(), &[0, 4]);
         assert!(out.predictions.is_empty());
-        assert_eq!(out.stats.micro_batches, 0);
-        assert_eq!(out.stats.throughput(), 0.0);
+        let stats = engine.stats();
+        assert_eq!(stats.latency.micro_batches, 0);
+        assert_eq!(stats.throughput(), 0.0);
     }
 
     #[test]
     fn batch_smaller_than_micro_batch_is_one_call() {
         let (engine, seen) = probe_engine(100);
-        let out = engine.serve_checked(&Tensor::zeros(&[5, 2, 5])).unwrap();
+        let out = engine.classify(Tensor::zeros(&[5, 2, 5])).unwrap();
         assert_eq!(*seen.lock().unwrap(), vec![5]);
-        assert_eq!(out.stats.micro_batches, 1);
+        assert_eq!(engine.stats().latency.micro_batches, 1);
         assert_eq!(out.predictions.len(), 5);
     }
 
@@ -811,16 +616,17 @@ mod tests {
     #[test]
     fn non_rank3_requests_are_rejected() {
         let (engine, _seen) = probe_engine(4);
-        let err = engine.serve_checked(&Tensor::zeros(&[4, 10])).unwrap_err();
+        let err = engine.classify(Tensor::zeros(&[4, 10])).unwrap_err();
         assert!(matches!(err, ServeError::BadRequest(_)), "got {err:?}");
         assert_eq!(engine.stats().rejected, 1);
     }
 
-    /// `serve_checked` counts requests and windows in the lifetime stats.
+    /// An inline classify counts requests and windows in the lifetime
+    /// stats.
     #[test]
-    fn serve_checked_counts_requests_and_windows() {
+    fn inline_classify_counts_requests_and_windows() {
         let (engine, _seen) = probe_engine(4);
-        let out = engine.serve_checked(&Tensor::zeros(&[3, 2, 5])).unwrap();
+        let out = engine.classify(Tensor::zeros(&[3, 2, 5])).unwrap();
         assert_eq!(out.logits.dims(), &[3, 4]);
         assert_eq!(engine.stats().requests, 1);
         assert_eq!(engine.stats().windows, 3);
@@ -830,26 +636,26 @@ mod tests {
     #[test]
     fn probe_backend_reports_default_compute() {
         let (engine, _seen) = probe_engine(4);
-        assert_eq!(engine.compute_report(), "default");
-        assert_eq!(engine.stats().tuning, vec!["default".to_string()]);
+        assert_eq!(engine.stats().per_replica[0].tuning, "default");
     }
 
-    /// Lifetime stats accumulate across calls in the unified schema.
+    /// Lifetime stats accumulate across calls, one row for the replica.
     #[test]
     fn inference_engine_stats_accumulate() {
         let (engine, _seen) = probe_engine(2);
         for n in [3usize, 0, 5] {
-            let _ = engine.serve_checked(&Tensor::zeros(&[n, 2, 5])).unwrap();
+            let _ = engine.classify(Tensor::zeros(&[n, 2, 5])).unwrap();
         }
         let stats = engine.stats();
-        assert_eq!(stats.engine, "inference");
-        assert_eq!(stats.backends, vec!["probe".to_string()]);
+        assert_eq!(stats.per_replica.len(), 1);
+        assert_eq!(stats.per_replica[0].backend, "probe");
         assert_eq!(stats.requests, 3);
         assert_eq!(stats.windows, 8);
         // The n=0 request never invoked the backend: 2 executed batches.
         assert_eq!(stats.batches, 2);
         // ceil(3/2) + ceil(5/2) micro-batches.
         assert_eq!(stats.latency.micro_batches, 5);
+        assert!(stats.rollup_consistent());
     }
 
     /// Regression (percentile off-by-one): the old `(n·q) as usize` index

@@ -1,4 +1,4 @@
-//! The bounded MPSC request queue feeding the [`AsyncEngine`] worker pool.
+//! The bounded MPSC request queue feeding a replica's worker pool.
 //!
 //! Many client threads push requests concurrently (the **MP** side); the
 //! engine's workers pop them (the **SC** side is generalised to a small
@@ -8,15 +8,13 @@
 //! backpressure signal. Closing the queue wakes every waiter; pops drain
 //! the remaining requests before reporting shutdown so no accepted request
 //! is ever dropped.
-//!
-//! [`AsyncEngine`]: super::AsyncEngine
 
 use bioformer_tensor::Tensor;
 use std::collections::VecDeque;
 use std::sync::{mpsc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Errors surfaced by the asynchronous serving path.
+/// Errors surfaced by the serving path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
     /// The bounded request queue is at capacity (backpressure): the client
@@ -31,7 +29,7 @@ pub enum ServeError {
     BadRequest(String),
     /// The request was cancelled without being served: the backend
     /// panicked while executing its batch (the worker survives and keeps
-    /// serving; see `AsyncStats::failed`), or the engine terminated
+    /// serving; see `EngineStats::failed`), or the engine terminated
     /// abnormally. Graceful shutdown never cancels accepted requests.
     Cancelled,
     /// Every replica in a sharded pool is quarantined (dead workers or a
@@ -65,7 +63,7 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// The served result of one asynchronous request, delivered through
+/// The served result of one request, delivered through
 /// [`PendingResponse::wait`].
 #[derive(Debug, Clone)]
 pub struct RequestOutput {
@@ -103,10 +101,9 @@ impl Request {
     }
 }
 
-/// Client-side handle to an in-flight request submitted to an
-/// [`AsyncEngine`]; redeem it with [`PendingResponse::wait`].
-///
-/// [`AsyncEngine`]: super::AsyncEngine
+/// Client-side handle to a request submitted to an
+/// [`Engine`](super::Engine); redeem it with [`PendingResponse::wait`]. An
+/// inline replica hands it back already resolved.
 #[derive(Debug)]
 pub struct PendingResponse {
     pub(crate) rx: mpsc::Receiver<Result<RequestOutput, ServeError>>,
@@ -209,9 +206,15 @@ impl RequestQueue {
         self.lock().deque.len()
     }
 
-    /// Maximum number of waiting requests.
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
+    /// `Ok` while the queue accepts requests, [`ServeError::ShuttingDown`]
+    /// after [`RequestQueue::close`] — the admission check of an inline
+    /// replica, which never pushes.
+    pub(crate) fn ensure_open(&self) -> Result<(), ServeError> {
+        if self.lock().closed {
+            Err(ServeError::ShuttingDown)
+        } else {
+            Ok(())
+        }
     }
 
     /// Non-blocking push: fails fast with [`ServeError::QueueFull`] when at

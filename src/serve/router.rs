@@ -1,13 +1,14 @@
-//! Sharded multi-replica serving: one submission API fanning out over N
-//! backend replicas with policy-driven, latency-aware routing.
+//! The serving engine: one submission API over N ≥ 1 backend replicas
+//! with policy-driven, latency-aware routing.
 //!
 //! The paper's deployment story is one Bioformer at several precisions —
 //! fp32 where accuracy matters, fully-integer int8 where latency and
 //! energy do. [`ShardedEngine`] turns that Pareto picture into a serving
-//! topology: each replica is a full `Replica` (bounded queue + coalescing
-//! worker pool + stats, the component inside
-//! [`AsyncEngine`](super::AsyncEngine)), and the router picks a replica
-//! per request according to a [`RoutingPolicy`]. Replicas whose workers
+//! topology: each replica is a full `Replica` (bounded queue + `W ≥ 0`
+//! coalescing workers + counters; `W = 0` serves inline on the caller's
+//! thread), and the router picks a replica per request according to a
+//! [`RoutingPolicy`]. A single replica is the common case — one worker for
+//! concurrent clients, none for offline evaluation. Replicas whose workers
 //! die or whose backend fails repeatedly are **quarantined** — new traffic
 //! routes around them, and [`ShardedEngine::classify`] transparently
 //! re-routes a request cancelled by a failing replica. Shutdown drains
@@ -25,9 +26,10 @@
 //!   under-provisioned fp32 replica in a mostly-int8 pool can be held to a
 //!   planned share of traffic before its latency EWMA has converged.
 
+use super::engine::{EngineStats, ReplicaStats};
 use super::queue::{PendingResponse, RequestOutput, ServeError};
-use super::worker::{AsyncEngineConfig, AsyncStats, Replica, WorkerInner};
-use super::{GestureClassifier, LatencyStats};
+use super::worker::{AsyncEngineConfig, Counters, Replica};
+use super::GestureClassifier;
 use bioformer_tensor::backend::ComputeBackend;
 use bioformer_tensor::Tensor;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -116,8 +118,8 @@ impl Default for ShardedEngineConfig {
 /// The losing copy is **cancelled, not un-counted**: its response handle
 /// is dropped (the worker's send fails silently), but the work still shows
 /// up in the losing replica's counters, so
-/// [`PoolStats::rollup_consistent`] keeps holding. Pool-level
-/// [`PoolStats::hedges_fired`] / [`PoolStats::hedges_won`] count the
+/// [`EngineStats::rollup_consistent`] keeps holding. Pool-level
+/// [`EngineStats::hedges_fired`] / [`EngineStats::hedges_won`] count the
 /// duplicates separately.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HedgeConfig {
@@ -166,100 +168,6 @@ struct ReplicaSlot {
     /// divided by this, so a weight-2 replica is offered roughly twice the
     /// traffic of a weight-1 sibling at equal observed latency.
     weight: f64,
-}
-
-/// A snapshot of one replica's serving state inside a [`PoolStats`].
-#[derive(Debug, Clone)]
-pub struct ReplicaStats {
-    /// Replica index (0-based, in `add_replica` order).
-    pub replica: usize,
-    /// The replica backend's name, e.g. `"bioformer-int8"`.
-    pub backend: String,
-    /// Whether the router has quarantined this replica.
-    pub quarantined: bool,
-    /// The replica's routing weight (1.0 unless set via
-    /// [`ShardedEngineBuilder::add_replica_weighted`]).
-    pub weight: f64,
-    /// Requests waiting in this replica's queue at snapshot time.
-    pub queue_depth: usize,
-    /// EWMA of this replica's coalesced-batch backend latency. `None`
-    /// before the first executed batch.
-    pub ewma_batch_latency: Option<Duration>,
-    /// EWMA of this replica's per-window backend latency — the signal
-    /// [`RoutingPolicy::LatencyAware`] routes on. `None` before the first
-    /// executed batch.
-    pub ewma_window_latency: Option<Duration>,
-    /// The replica's full per-worker statistics.
-    pub stats: AsyncStats,
-}
-
-/// Pool-level statistics for a [`ShardedEngine`]: every replica's counters
-/// rolled up, plus the per-replica breakdown. Counter semantics match
-/// [`AsyncStats`]; each total equals the sum over `per_replica`.
-#[derive(Debug, Clone)]
-pub struct PoolStats {
-    /// Requests served across the pool.
-    pub requests: usize,
-    /// Requests expired for missing their deadline.
-    pub expired: usize,
-    /// Requests cancelled because a backend panicked mid-batch.
-    pub failed: usize,
-    /// Requests rejected by a worker's defence-in-depth shape check.
-    pub rejected: usize,
-    /// Batches executed across the pool (backend actually invoked).
-    pub batches: usize,
-    /// Batches that coalesced more than one request.
-    pub coalesced_batches: usize,
-    /// Total windows served.
-    pub windows: usize,
-    /// Micro-batch latency summary across every replica's workers (exact
-    /// count/total/mean/min/max; percentiles estimated over recent-sample
-    /// windows).
-    pub latency: LatencyStats,
-    /// Hedged duplicates fired by [`ShardedEngine::classify`]. A
-    /// **pool-level** counter, deliberately outside the per-replica sums:
-    /// the duplicate itself is counted as an ordinary request in the hedge
-    /// replica's stats, so [`PoolStats::rollup_consistent`] still holds.
-    pub hedges_fired: usize,
-    /// Hedged duplicates whose answer was the one returned to the caller
-    /// (the primary lost the race or failed). Pool-level, like
-    /// [`PoolStats::hedges_fired`].
-    pub hedges_won: usize,
-    /// Per-replica breakdown.
-    pub per_replica: Vec<ReplicaStats>,
-}
-
-impl PoolStats {
-    /// Windows served per second of backend time (0.0 before any work).
-    pub fn throughput(&self) -> f64 {
-        self.latency.throughput()
-    }
-
-    /// Mean requests per executed batch across the pool (0.0 before any
-    /// work).
-    pub fn requests_per_batch(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.requests as f64 / self.batches as f64
-        }
-    }
-
-    /// Whether every pool total equals the sum of its per-replica
-    /// counterparts — the rollup invariant `tests/serving_sharded.rs` pins,
-    /// and the shape the multi-tenant gateway's
-    /// [`ServerStats`](super::ServerStats) per-tenant rollup mirrors.
-    pub fn rollup_consistent(&self) -> bool {
-        let sum =
-            |f: &dyn Fn(&ReplicaStats) -> usize| -> usize { self.per_replica.iter().map(f).sum() };
-        self.requests == sum(&|r| r.stats.requests)
-            && self.expired == sum(&|r| r.stats.expired)
-            && self.failed == sum(&|r| r.stats.failed)
-            && self.rejected == sum(&|r| r.stats.rejected)
-            && self.batches == sum(&|r| r.stats.batches)
-            && self.coalesced_batches == sum(&|r| r.stats.coalesced_batches)
-            && self.windows == sum(&|r| r.stats.windows)
-    }
 }
 
 /// Builder for a [`ShardedEngine`]: collect heterogeneous replicas, then
@@ -368,7 +276,8 @@ impl ShardedEngineBuilder {
 
     /// Adds a replica with an explicit per-replica config — e.g. more
     /// workers for a big-core fp32 replica, a larger micro-batch for an
-    /// accelerator-offload replica.
+    /// accelerator-offload replica, or `workers: 0` for a replica that
+    /// serves inline on the caller's thread.
     pub fn add_replica_with(
         mut self,
         backend: Box<dyn GestureClassifier>,
@@ -403,7 +312,7 @@ impl ShardedEngineBuilder {
         self.add_replica(backend)
     }
 
-    /// Spawns every replica's worker pool and returns the engine.
+    /// Spawns every replica's workers and returns the engine.
     ///
     /// # Panics
     ///
@@ -449,16 +358,25 @@ impl ShardedEngineBuilder {
     }
 }
 
-/// A sharded multi-replica serving engine: one submission API over N
-/// backend replicas, each with its own bounded queue and coalescing worker
-/// pool, with policy-driven routing, replica quarantine and pool-level
-/// statistics.
+/// The serving engine: one submission API over N ≥ 1 backend replicas,
+/// each with its own bounded queue and `W ≥ 0` coalescing workers, with
+/// policy-driven routing, replica quarantine and per-replica statistics.
 ///
-/// Replicas may be heterogeneous — the intended deployment is the paper's
-/// fp32/int8 Pareto front, e.g. one fp32 `Bioformer` replica on big cores
-/// plus int8 `QuantBioformer` replicas elsewhere — as long as they serve
-/// the same class count. Each replica derives its own linger from observed
-/// traffic by default ([`LingerPolicy::Adaptive`](super::LingerPolicy)).
+/// Every topology is a replica count plus a worker count
+/// ([`AsyncEngineConfig::workers`]):
+///
+/// * **inline** — one replica, `workers: 0`: each request runs on the
+///   caller's thread and `submit` returns an already-resolved handle
+///   (offline evaluation, batch jobs, single-caller streaming);
+/// * **one replica, W ≥ 1 workers** — a bounded queue coalescing many
+///   clients' requests into shared micro-batches;
+/// * **a pool** — several replicas, possibly heterogeneous: the intended
+///   deployment is the paper's fp32/int8 Pareto front, e.g. one fp32
+///   `Bioformer` replica on big cores plus int8 `QuantBioformer` replicas
+///   elsewhere, as long as they serve the same class count.
+///
+/// Each replica derives its own linger from observed traffic by default
+/// ([`LingerPolicy::Adaptive`](super::LingerPolicy)).
 ///
 /// # Example
 ///
@@ -484,7 +402,7 @@ pub struct ShardedEngine {
     rr: AtomicUsize,
     cfg: ShardedEngineConfig,
     classes: usize,
-    /// Hedged duplicates fired (pool-level; see [`PoolStats::hedges_fired`]).
+    /// Hedged duplicates fired (pool-level; see [`EngineStats::hedges_fired`]).
     hedges_fired: AtomicUsize,
     /// Hedged duplicates whose answer won the race.
     hedges_won: AtomicUsize,
@@ -520,15 +438,6 @@ impl ShardedEngine {
         self.replicas
             .iter()
             .map(|s| s.replica.backend_name().to_string())
-            .collect()
-    }
-
-    /// The replica compute reports (tuning state at spawn), parallel to
-    /// [`ShardedEngine::backend_names`].
-    pub fn compute_reports(&self) -> Vec<String> {
-        self.replicas
-            .iter()
-            .map(|s| s.replica.compute_report().to_string())
             .collect()
     }
 
@@ -867,54 +776,53 @@ impl ShardedEngine {
         self.hedge_p95_ns.store(next, Ordering::Relaxed);
     }
 
-    /// A live snapshot of pool-level + per-replica statistics. Every pool
-    /// total is the sum of the corresponding per-replica counters.
+    /// A live snapshot of the per-replica rows and the pool totals summed
+    /// from them.
     ///
     /// The `quarantined` flags reflect the router's decisions so far (the
     /// flag is evaluated on the routing path, not here — a drained pool's
     /// idle workers are not retroactively declared dead). Canary probe
     /// requests sent to quarantined replicas are counted like client
-    /// requests in that replica's stats.
-    pub fn stats(&self) -> PoolStats {
-        let mut merged = WorkerInner::default();
+    /// requests in that replica's row.
+    pub fn stats(&self) -> EngineStats {
+        let mut pool = Counters::default();
         let mut per_replica = Vec::with_capacity(self.replicas.len());
         for (i, slot) in self.replicas.iter().enumerate() {
-            // One snapshot per replica feeds both the pool rollup and the
-            // per-replica view, so the totals sum exactly even mid-traffic.
-            let (replica_merged, per_worker) = slot.replica.snapshot();
-            merged.merge_from(&replica_merged);
+            let counters = slot.replica.snapshot();
+            pool.merge_latencies(&counters);
+            let shared = slot.replica.shared();
             per_replica.push(ReplicaStats {
                 replica: i,
                 backend: slot.replica.backend_name().to_string(),
+                tuning: slot.replica.compute_report(),
                 quarantined: slot.quarantined.load(Ordering::Relaxed),
                 weight: slot.weight,
                 queue_depth: slot.replica.queue_depth(),
-                ewma_batch_latency: slot.replica.shared().ewma_batch_latency(),
-                ewma_window_latency: slot.replica.shared().ewma_window_latency(),
-                stats: replica_merged.into_stats(per_worker),
+                ewma_batch_latency: shared.ewma_batch_latency(),
+                ewma_window_latency: shared.ewma_window_latency(),
+                requests: counters.requests,
+                expired: counters.expired,
+                failed: counters.failed,
+                rejected: counters.rejected,
+                batches: counters.batches,
+                coalesced_batches: counters.coalesced_batches,
+                windows: counters.windows,
+                latency: counters.latency_stats(),
             });
         }
-        let pool = merged.into_stats(Vec::new());
-        PoolStats {
-            requests: pool.requests,
-            expired: pool.expired,
-            failed: pool.failed,
-            rejected: pool.rejected,
-            batches: pool.batches,
-            coalesced_batches: pool.coalesced_batches,
-            windows: pool.windows,
-            latency: pool.latency,
-            hedges_fired: self.hedges_fired.load(Ordering::Relaxed),
-            hedges_won: self.hedges_won.load(Ordering::Relaxed),
+        EngineStats::from_rows(
             per_replica,
-        }
+            pool.latency_stats(),
+            self.hedges_fired.load(Ordering::Relaxed),
+            self.hedges_won.load(Ordering::Relaxed),
+        )
     }
 
     /// Graceful shutdown: closes every replica's queue (so they drain in
-    /// parallel), joins all workers, and returns the final pool statistics.
+    /// parallel), joins all workers, and returns the final statistics.
     /// Accepted requests are always served; dropping the engine does the
     /// same minus the stats.
-    pub fn shutdown(mut self) -> PoolStats {
+    pub fn shutdown(mut self) -> EngineStats {
         self.close_and_join();
         self.stats()
     }

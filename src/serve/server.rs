@@ -5,11 +5,9 @@
 //! is that multiplexer:
 //!
 //! * **N concurrent sessions, one engine** — every session streams through
-//!   the same `Arc<dyn Engine>` (an inline
-//!   [`InferenceEngine`](super::InferenceEngine), a coalescing
-//!   [`AsyncEngine`](super::AsyncEngine), or a
-//!   [`ShardedEngine`](super::ShardedEngine) pool — the server is
-//!   topology-generic).
+//!   the same `Arc<dyn Engine>` (a [`ShardedEngine`](super::ShardedEngine)
+//!   with one inline replica, one replica with a coalescing worker pool,
+//!   or a multi-replica pool — the server is topology-generic).
 //! * **Bounded per-session inbound buffers + round-robin fairness** — each
 //!   session may buffer at most [`StreamServerConfig::inbound_chunks`]
 //!   chunks; the pump serves sessions in token order, at most
@@ -27,8 +25,8 @@
 //!   one — no duplicated and no lost [`GestureEvent`] across the seam.
 //! * **Per-tenant statistics** — every counter is tracked per tenant and
 //!   rolled up into pool totals ([`ServerStats`]), with the same
-//!   totals-equal-sum-of-parts invariant the sharded engine's
-//!   [`PoolStats`](super::PoolStats) keeps per replica
+//!   totals-equal-sum-of-parts invariant the engine's
+//!   [`EngineStats`] keeps per replica
 //!   ([`ServerStats::rollup_consistent`]).
 //!
 //! [`TcpGateway`] puts the wire on it: a `std::net` loopback listener
@@ -250,8 +248,7 @@ pub struct ServerStats {
 impl ServerStats {
     /// Whether every pool total equals the sum of its per-tenant
     /// counterparts — the same totals-equal-sum invariant
-    /// [`PoolStats::rollup_consistent`](super::PoolStats::rollup_consistent)
-    /// keeps per replica, one layer up.
+    /// [`EngineStats::rollup_consistent`] keeps per replica, one layer up.
     pub fn rollup_consistent(&self) -> bool {
         let mut sum = ServeCounters::default();
         for t in &self.per_tenant {
@@ -440,9 +437,9 @@ impl Shared {
 /// [`StreamServer::resume`] and the returned [`SessionHandle`]s directly;
 /// [`TcpGateway`] exposes the same lifecycle over the wire.
 ///
-/// The server is engine-agnostic, but the recommended deployment is over a
-/// [`ShardedEngine`](super::ShardedEngine) pool rather than a single
-/// [`InferenceEngine`](super::InferenceEngine): replicas absorb tenant
+/// The server is engine-agnostic, but the recommended deployment is a
+/// multi-replica [`ShardedEngine`](super::ShardedEngine) pool rather than
+/// one inline replica: replicas absorb tenant
 /// bursts independently, quarantine isolates a failing backend, and a mixed
 /// fp32 + int8 pool can be capacity-planned with per-replica weights (see
 /// `examples/serve_gateway.rs`).

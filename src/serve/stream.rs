@@ -610,9 +610,15 @@ struct WindowMark {
 /// ```
 /// use std::sync::Arc;
 /// use bioformers::core::{Bioformer, BioformerConfig};
-/// use bioformers::serve::{InferenceEngine, StreamConfig, StreamSession};
+/// use bioformers::serve::{AsyncEngineConfig, ShardedEngine, StreamConfig, StreamSession};
 ///
-/// let engine = Arc::new(InferenceEngine::new(Box::new(Bioformer::new(&BioformerConfig::bio1()))));
+/// // An inline replica: every window is classified on the pushing thread.
+/// let engine = Arc::new(
+///     ShardedEngine::builder()
+///         .with_replica_config(AsyncEngineConfig::default().with_workers(0))
+///         .add_replica(Box::new(Bioformer::new(&BioformerConfig::bio1())))
+///         .build(),
+/// );
 /// let cfg = StreamConfig::db6().with_slide(300).with_lookahead(0);
 /// let mut session = StreamSession::new(engine, cfg).unwrap();
 /// // One 150 ms frame burst: 300 frames × 14 channels, interleaved.

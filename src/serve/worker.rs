@@ -1,15 +1,14 @@
-//! The replica behind [`AsyncEngine`] and the sharded pool: each worker
-//! pops requests off the shared [`queue`](super::queue), coalesces
-//! concurrent clients' windows into one shared micro-batch (flushing on
-//! batch-full or when the linger deadline passes), expires late requests,
-//! runs the backend once per batch, and scatters the logits back to every
-//! waiting client.
+//! The serving replica behind [`ShardedEngine`](super::ShardedEngine): a
+//! bounded request [`queue`](super::queue), a pool of `W ≥ 0` workers and
+//! the replica's statistics.
 //!
-//! Since the sharded-serving refactor, the queue + worker pool + stats
-//! bundle lives in the crate-internal `Replica` type; [`AsyncEngine`] is a
-//! single replica with a public face, and
-//! [`ShardedEngine`](super::ShardedEngine) fans one submission API out
-//! over many replicas.
+//! Each worker pops requests off the queue, coalesces concurrent clients'
+//! windows into one shared micro-batch (flushing on batch-full or when the
+//! linger deadline passes), expires late requests, runs the backend once
+//! per batch, and scatters the logits back to every waiting client. A
+//! replica with `workers: 0` spawns no threads: it runs each request
+//! through the same batch executor on the submitting thread, so its
+//! handles come back already resolved.
 
 use super::queue::{PendingResponse, Request, RequestOutput, RequestQueue, ServeError};
 use super::{predict_chunked, GestureClassifier, LatencyStats, DEFAULT_MICRO_BATCH};
@@ -37,21 +36,23 @@ pub enum LingerPolicy {
     },
 }
 
-/// Tuning knobs for [`AsyncEngine`] (and, per replica, for
-/// [`ShardedEngine`](super::ShardedEngine)).
+/// Per-replica tuning knobs for [`ShardedEngine`](super::ShardedEngine).
 ///
 /// The defaults favour throughput under concurrency: a small linger lets a
 /// worker wait for other clients' requests to share a batch, which costs at
 /// most `linger` of extra latency when traffic is sparse.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AsyncEngineConfig {
-    /// Worker threads consuming the queue (≥ 1). One worker per backend
-    /// replica is the norm; more only helps when the backend itself can run
-    /// batches concurrently (e.g. on spare cores).
+    /// Worker threads consuming the queue. One worker per backend replica
+    /// is the norm; more only helps when the backend itself can run batches
+    /// concurrently (e.g. on spare cores). `0` serves inline: every
+    /// submission runs on the caller's thread and returns an
+    /// already-resolved handle — the topology for offline evaluation,
+    /// batch jobs and single-caller streaming.
     pub workers: usize,
-    /// Maximum windows per coalesced batch, and the chunk size the batch is
-    /// executed with (≥ 1) — identical semantics to
-    /// [`InferenceEngine::micro_batch`](super::InferenceEngine::micro_batch).
+    /// Maximum windows per coalesced batch, and the chunk size every batch
+    /// is executed with (≥ 1): a larger request is split into micro-batches
+    /// whose logits are reassembled in request order.
     pub micro_batch: usize,
     /// How long a worker holding a partial batch waits for more requests
     /// before flushing (under [`LingerPolicy::Fixed`]; the bootstrap value
@@ -112,7 +113,6 @@ impl AsyncEngineConfig {
     }
 
     fn validate(&self) {
-        assert!(self.workers > 0, "AsyncEngineConfig: workers must be >= 1");
         assert!(
             self.micro_batch > 0,
             "AsyncEngineConfig: micro_batch must be >= 1"
@@ -124,7 +124,7 @@ impl AsyncEngineConfig {
     }
 }
 
-/// Per-worker cap on retained latency samples: totals stay exact forever,
+/// Per-replica cap on retained latency samples: totals stay exact forever,
 /// while p50/p95/p99 are estimated over a sliding window of the most
 /// recent samples so a long-lived engine's memory stays bounded.
 const LATENCY_WINDOW: usize = 4096;
@@ -147,11 +147,13 @@ fn ewma_update(cell: &AtomicU64, sample: Duration) {
 }
 
 /// Live replica health + traffic signals, shared between the submission
-/// side, the workers and (for sharded pools) the router. All counters are
-/// advisory: they steer routing and the adaptive linger, never correctness.
+/// side, the workers and the router. All counters are advisory: they steer
+/// routing and the adaptive linger, never correctness.
 pub(crate) struct ReplicaShared {
     /// Worker threads still running; decremented when a worker exits for
-    /// any reason (graceful drain or a panic escaping the batch guard).
+    /// any reason (graceful drain or a panic escaping the batch guard). An
+    /// inline replica counts the submitting thread as its one worker, which
+    /// never exits.
     alive_workers: AtomicUsize,
     /// Batches that failed back-to-back (backend panics); reset to zero by
     /// the next successful batch. The router quarantines on a run of these.
@@ -272,11 +274,11 @@ impl ReplicaShared {
 
 /// Decrements the replica's alive-worker count when the worker thread exits
 /// — including by panic, so the router can detect a dead replica.
-struct AliveGuard(Arc<ReplicaShared>);
+struct AliveGuard(Arc<ReplicaCore>);
 
 impl Drop for AliveGuard {
     fn drop(&mut self) {
-        self.0.alive_workers.fetch_sub(1, Ordering::Relaxed);
+        self.0.shared.alive_workers.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -307,16 +309,17 @@ fn effective_linger(cfg: &AsyncEngineConfig, shared: &ReplicaShared) -> Duration
     }
 }
 
-/// Per-worker accounting, updated after every executed batch.
+/// A replica's lifetime accounting, updated after every executed batch —
+/// the source of its [`ReplicaStats`](super::ReplicaStats) row.
 #[derive(Debug, Default, Clone)]
-pub(crate) struct WorkerInner {
-    batches: usize,
-    coalesced_batches: usize,
-    requests: usize,
-    windows: usize,
-    expired: usize,
-    failed: usize,
-    rejected: usize,
+pub(crate) struct Counters {
+    pub(crate) batches: usize,
+    pub(crate) coalesced_batches: usize,
+    pub(crate) requests: usize,
+    pub(crate) windows: usize,
+    pub(crate) expired: usize,
+    pub(crate) failed: usize,
+    pub(crate) rejected: usize,
     micro_batches: usize,
     total_latency: Duration,
     min_latency: Option<Duration>,
@@ -326,7 +329,7 @@ pub(crate) struct WorkerInner {
     next: usize,
 }
 
-impl WorkerInner {
+impl Counters {
     fn record_latencies(&mut self, latencies: &[Duration]) {
         for &d in latencies {
             self.micro_batches += 1;
@@ -342,35 +345,11 @@ impl WorkerInner {
         }
     }
 
-    /// Accounts one served request of `windows` windows executed as
-    /// `latencies.len()` micro-batches (the synchronous engine's per-call
-    /// accounting; the async worker loop does the same bookkeeping inline
-    /// because its batch/request ratio differs).
-    pub(crate) fn note_served(&mut self, windows: usize, latencies: &[Duration]) {
-        self.requests += 1;
-        self.windows += windows;
-        if !latencies.is_empty() {
-            self.batches += 1;
-            self.record_latencies(latencies);
-        }
-    }
-
-    /// Accounts one request rejected by validation.
-    pub(crate) fn note_rejected(&mut self) {
-        self.rejected += 1;
-    }
-
-    /// Folds another worker's (or replica's) counters into this one. The
-    /// merged `recent` buffer concatenates both sample windows, which is
-    /// only used for snapshot percentile estimation.
-    pub(crate) fn merge_from(&mut self, other: &WorkerInner) {
-        self.batches += other.batches;
-        self.coalesced_batches += other.coalesced_batches;
-        self.requests += other.requests;
+    /// Folds another replica's windows and latency samples into this one,
+    /// so a pool's percentiles are estimated over every replica's recent
+    /// window.
+    pub(crate) fn merge_latencies(&mut self, other: &Counters) {
         self.windows += other.windows;
-        self.expired += other.expired;
-        self.failed += other.failed;
-        self.rejected += other.rejected;
         self.micro_batches += other.micro_batches;
         self.total_latency += other.total_latency;
         self.min_latency = match (self.min_latency, other.min_latency) {
@@ -383,9 +362,9 @@ impl WorkerInner {
 
     /// Builds a [`LatencyStats`] with exact count/total/mean/min/max and
     /// window-estimated percentiles.
-    pub(crate) fn latency_stats(&self, windows: usize) -> LatencyStats {
+    pub(crate) fn latency_stats(&self) -> LatencyStats {
         let mut recent = self.recent.clone();
-        let mut stats = LatencyStats::from_samples(&mut recent, windows);
+        let mut stats = LatencyStats::from_samples(&mut recent, self.windows);
         if self.micro_batches > 0 {
             stats.micro_batches = self.micro_batches;
             stats.total = self.total_latency;
@@ -396,97 +375,6 @@ impl WorkerInner {
             stats.max = self.max_latency.unwrap_or(Duration::ZERO);
         }
         stats
-    }
-
-    /// The aggregate [`AsyncStats`] view of this (possibly merged) counter
-    /// set, with `per_worker` supplied by the caller.
-    pub(crate) fn into_stats(self, per_worker: Vec<WorkerStats>) -> AsyncStats {
-        let latency = self.latency_stats(self.windows);
-        AsyncStats {
-            requests: self.requests,
-            expired: self.expired,
-            failed: self.failed,
-            rejected: self.rejected,
-            batches: self.batches,
-            coalesced_batches: self.coalesced_batches,
-            windows: self.windows,
-            latency,
-            per_worker,
-        }
-    }
-}
-
-/// A snapshot of one worker's counters.
-#[derive(Debug, Clone)]
-pub struct WorkerStats {
-    /// Worker index (0-based).
-    pub worker: usize,
-    /// Batches this worker executed (backend actually invoked; batches
-    /// containing only zero-window requests are not counted).
-    pub batches: usize,
-    /// Batches that coalesced more than one request.
-    pub coalesced_batches: usize,
-    /// Requests this worker served.
-    pub requests: usize,
-    /// Windows this worker served.
-    pub windows: usize,
-    /// Requests this worker expired for missing their deadline.
-    pub expired: usize,
-    /// Requests cancelled because the backend panicked mid-batch.
-    pub failed: usize,
-    /// Requests rejected by the worker's defence-in-depth shape check
-    /// (a mismatched shape that slipped past submission validation).
-    /// Expected to stay 0.
-    pub rejected: usize,
-    /// Micro-batch latency summary for this worker. Count, total, mean,
-    /// min and max are exact over the worker's lifetime; p50/p95/p99 are
-    /// estimated over a sliding window of the most recent samples.
-    pub latency: LatencyStats,
-}
-
-/// Aggregate statistics for an [`AsyncEngine`] (one replica), merging every
-/// worker's counters; latency summaries reuse the sync engine's
-/// [`LatencyStats`].
-#[derive(Debug, Clone)]
-pub struct AsyncStats {
-    /// Requests served (responses delivered with logits).
-    pub requests: usize,
-    /// Requests expired for missing their deadline.
-    pub expired: usize,
-    /// Requests cancelled because the backend panicked mid-batch.
-    pub failed: usize,
-    /// Requests rejected by a worker's defence-in-depth shape check.
-    /// Expected to stay 0 (submission-time validation is the primary
-    /// guard).
-    pub rejected: usize,
-    /// Batches executed across all workers (the backend was actually
-    /// invoked; batches of only zero-window requests don't count).
-    pub batches: usize,
-    /// Batches that coalesced more than one request.
-    pub coalesced_batches: usize,
-    /// Total windows served.
-    pub windows: usize,
-    /// Micro-batch latency summary across all workers (exact count/total/
-    /// mean/min/max; p50/p95/p99 estimated over recent-sample windows).
-    pub latency: LatencyStats,
-    /// Per-worker breakdown.
-    pub per_worker: Vec<WorkerStats>,
-}
-
-impl AsyncStats {
-    /// Windows served per second of backend time (0.0 before any work).
-    pub fn throughput(&self) -> f64 {
-        self.latency.throughput()
-    }
-
-    /// Mean requests per executed batch (0.0 before any work) — the
-    /// coalescing factor: > 1 means cross-request batching is happening.
-    pub fn requests_per_batch(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.requests as f64 / self.batches as f64
-        }
     }
 }
 
@@ -509,104 +397,93 @@ struct ShapeState {
     validating: usize,
 }
 
-/// One backend replica: a bounded request queue, a worker pool coalescing
-/// requests into shared micro-batches over one shared backend, per-worker
-/// statistics and live health/traffic signals.
-///
-/// This is the reusable component behind both public engines:
-/// [`AsyncEngine`] wraps exactly one replica, and
-/// [`ShardedEngine`](super::ShardedEngine) routes over many.
+/// What a replica's submitters and workers share: the backend, the queue,
+/// the counters and the live health signals.
+struct ReplicaCore {
+    backend: Box<dyn GestureClassifier>,
+    cfg: AsyncEngineConfig,
+    queue: RequestQueue,
+    stats: Mutex<Counters>,
+    shared: ReplicaShared,
+}
+
+/// One backend replica: a bounded request queue, `W ≥ 0` workers
+/// coalescing requests into shared micro-batches over one shared backend,
+/// the replica's counters and its live health/traffic signals.
+/// [`ShardedEngine`](super::ShardedEngine) routes over one or more.
 pub(crate) struct Replica {
-    queue: Arc<RequestQueue>,
+    core: Arc<ReplicaCore>,
     handles: Vec<JoinHandle<()>>,
-    stats: Arc<Vec<Mutex<WorkerInner>>>,
-    shared: Arc<ReplicaShared>,
     /// `[channels, samples]` served by this replica: the backend's declared
     /// [`GestureClassifier::input_shape`] when known, else pinned
     /// atomically by the first validated submission. Mismatches are
     /// rejected at submission.
     shape: Mutex<ShapeState>,
-    classes: usize,
-    backend_name: String,
-    /// Snapshot of the backend's compute report (tuning state) taken at
-    /// spawn, before the backend moves into the worker threads.
-    compute_report: String,
-    cfg: AsyncEngineConfig,
+    /// Scratch arena of the inline path (`workers == 0`); each worker
+    /// thread owns its own instead.
+    arena: Mutex<TensorArena>,
 }
 
 impl Replica {
-    /// Spawns the worker pool over `backend`.
+    /// Spawns `cfg.workers` workers over `backend` (none for an inline
+    /// replica).
     ///
     /// # Panics
     ///
-    /// Panics if any config field is zero where ≥ 1 is required
-    /// (`workers`, `micro_batch`, `queue_capacity`).
+    /// Panics if `micro_batch` or `queue_capacity` is zero.
     pub(crate) fn new(backend: Box<dyn GestureClassifier>, cfg: AsyncEngineConfig) -> Self {
         cfg.validate();
-        let backend: Arc<dyn GestureClassifier> = Arc::from(backend);
-        let queue = Arc::new(RequestQueue::new(cfg.queue_capacity));
-        let shared = Arc::new(ReplicaShared::new(cfg.workers));
-        let stats = Arc::new(
-            (0..cfg.workers)
-                .map(|_| Mutex::new(WorkerInner::default()))
-                .collect::<Vec<_>>(),
-        );
-        let handles = (0..cfg.workers)
+        let shape = backend.input_shape();
+        let core = Arc::new(ReplicaCore {
+            backend,
+            queue: RequestQueue::new(cfg.queue_capacity),
+            stats: Mutex::new(Counters::default()),
+            shared: ReplicaShared::new(cfg.workers.max(1)),
+            cfg,
+        });
+        let handles = (0..core.cfg.workers)
             .map(|id| {
-                let queue = Arc::clone(&queue);
-                let backend = Arc::clone(&backend);
-                let stats = Arc::clone(&stats);
-                let shared = Arc::clone(&shared);
-                let cfg = cfg.clone();
+                let core = Arc::clone(&core);
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{id}"))
                     .spawn(move || {
-                        let _alive = AliveGuard(Arc::clone(&shared));
-                        worker_loop(id, &queue, backend.as_ref(), &cfg, &stats[id], &shared)
+                        let _alive = AliveGuard(Arc::clone(&core));
+                        worker_loop(&core)
                     })
                     .expect("spawn serve worker")
             })
             .collect();
         Replica {
-            queue,
+            core,
             handles,
-            stats,
-            shared,
             shape: Mutex::new(ShapeState {
-                shape: backend.input_shape(),
-                declared: backend.input_shape().is_some(),
+                shape,
+                declared: shape.is_some(),
                 accepted: 0,
                 validating: 0,
             }),
-            classes: backend.num_classes(),
-            backend_name: backend.name().to_string(),
-            compute_report: backend.compute_report(),
-            cfg,
+            arena: Mutex::new(TensorArena::new()),
         }
     }
 
-    pub(crate) fn config(&self) -> &AsyncEngineConfig {
-        &self.cfg
-    }
-
     pub(crate) fn backend_name(&self) -> &str {
-        &self.backend_name
+        self.core.backend.name()
     }
 
-    pub(crate) fn compute_report(&self) -> &str {
-        &self.compute_report
+    pub(crate) fn compute_report(&self) -> String {
+        self.core.backend.compute_report()
     }
 
     pub(crate) fn num_classes(&self) -> usize {
-        self.classes
+        self.core.backend.num_classes()
     }
 
     pub(crate) fn queue_depth(&self) -> usize {
-        self.queue.len()
+        self.core.queue.len()
     }
 
     pub(crate) fn shared(&self) -> &ReplicaShared {
-        &self.shared
+        &self.core.shared
     }
 
     /// The `[channels, samples]` shape this replica is currently serving:
@@ -615,6 +492,16 @@ impl Replica {
     /// windows and by the router to synthesise canary probes.
     pub(crate) fn served_shape(&self) -> Option<(usize, usize)> {
         self.shape.lock().unwrap_or_else(|e| e.into_inner()).shape
+    }
+
+    /// Counts a request refused by validation and returns its error.
+    fn reject(&self, why: String) -> ServeError {
+        self.core
+            .stats
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .rejected += 1;
+        ServeError::BadRequest(why)
     }
 
     /// Validates `windows` against the replica's served shape — **and pins
@@ -633,7 +520,7 @@ impl Replica {
         deadline: Option<Instant>,
     ) -> Result<(Request, PendingResponse, (usize, usize)), ServeError> {
         if windows.dims().len() != 3 {
-            return Err(ServeError::BadRequest(format!(
+            return Err(self.reject(format!(
                 "windows must be [n, channels, samples], got {:?}",
                 windows.dims()
             )));
@@ -643,7 +530,8 @@ impl Replica {
         match st.shape {
             Some((ec, es)) => {
                 if (ec, es) != (c, s) {
-                    return Err(ServeError::BadRequest(format!(
+                    drop(st);
+                    return Err(self.reject(format!(
                         "window shape [{c}, {s}] does not match engine shape [{ec}, {es}]"
                     )));
                 }
@@ -700,15 +588,22 @@ impl Replica {
         (c, s): (usize, usize),
         blocking: bool,
     ) -> Result<PendingResponse, ServeError> {
-        let pushed = if blocking {
-            self.queue.push(req)
+        // An inline replica has no queue to wait in: it only refuses work
+        // once closed, and hands the request back to run on this thread.
+        let pushed = if self.handles.is_empty() {
+            self.core.queue.ensure_open().map(|()| Some(req))
+        } else if blocking {
+            self.core.queue.push(req).map(|()| None)
         } else {
-            self.queue.try_push(req)
+            self.core.queue.try_push(req).map(|()| None)
         };
         match pushed {
-            Ok(()) => {
+            Ok(inline) => {
                 self.commit_shape(c, s);
-                self.shared.note_arrival();
+                self.core.shared.note_arrival();
+                if let Some(req) = inline {
+                    self.serve_inline(req);
+                }
                 Ok(pending)
             }
             Err(e) => {
@@ -716,6 +611,23 @@ impl Replica {
                 Err(e)
             }
         }
+    }
+
+    /// Runs `req` on the caller's thread through the workers' batch
+    /// executor. The replica arena is reused when free; a concurrent inline
+    /// caller falls back to a throwaway arena (paying that call's
+    /// allocations) rather than serialising on the lock.
+    fn serve_inline(&self, req: Request) {
+        let mut guard = match self.arena.try_lock() {
+            Ok(guard) => Some(guard),
+            Err(std::sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
+            Err(std::sync::TryLockError::WouldBlock) => None,
+        };
+        let mut local = TensorArena::new();
+        let arena = guard.as_deref_mut().unwrap_or(&mut local);
+        let mut batch = Batch::default();
+        batch.admit(req);
+        self.core.execute(batch, arena);
     }
 
     /// Submits a request, blocking while the queue is full.
@@ -740,42 +652,19 @@ impl Replica {
         self.enqueue(req, pending, cs, true)
     }
 
-    /// One consistent pass over the worker mutexes: the merged counters
-    /// (including the recent latency-sample windows, so percentile
-    /// estimation composes) plus the per-worker breakdown. Each worker is
-    /// locked exactly once, so every derived view — a replica's
-    /// [`AsyncStats`], a pool's rollup — is built from the same snapshot
-    /// and per-worker counters always sum to the merged totals.
-    pub(crate) fn snapshot(&self) -> (WorkerInner, Vec<WorkerStats>) {
-        let mut merged = WorkerInner::default();
-        let mut per_worker = Vec::with_capacity(self.stats.len());
-        for (id, slot) in self.stats.iter().enumerate() {
-            let inner = slot.lock().unwrap_or_else(|e| e.into_inner());
-            merged.merge_from(&inner);
-            per_worker.push(WorkerStats {
-                worker: id,
-                batches: inner.batches,
-                coalesced_batches: inner.coalesced_batches,
-                requests: inner.requests,
-                windows: inner.windows,
-                expired: inner.expired,
-                failed: inner.failed,
-                rejected: inner.rejected,
-                latency: inner.latency_stats(inner.windows),
-            });
-        }
-        (merged, per_worker)
-    }
-
-    /// A live snapshot of aggregate + per-worker statistics.
-    pub(crate) fn stats(&self) -> AsyncStats {
-        let (merged, per_worker) = self.snapshot();
-        merged.into_stats(per_worker)
+    /// A consistent copy of the replica's counters, latency samples
+    /// included.
+    pub(crate) fn snapshot(&self) -> Counters {
+        self.core
+            .stats
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone()
     }
 
     /// Stops accepting new requests; already-queued work is still drained.
     pub(crate) fn close(&self) {
-        self.queue.close();
+        self.core.queue.close();
     }
 
     /// Joins the worker threads (call [`Replica::close`] first, or this
@@ -785,215 +674,73 @@ impl Replica {
             let _ = handle.join();
         }
     }
+}
 
-    fn close_and_join(&mut self) {
+impl Drop for Replica {
+    fn drop(&mut self) {
         self.close();
         self.join();
     }
 }
 
-impl Drop for Replica {
-    fn drop(&mut self) {
-        self.close_and_join();
-    }
+/// A batch being formed: its riders, plus the requests turned away while
+/// it formed.
+#[derive(Default)]
+struct Batch {
+    riders: Vec<Request>,
+    /// Windows across `riders`.
+    total: usize,
+    expired: usize,
+    rejected: usize,
 }
 
-/// A concurrent micro-batching inference engine: a bounded MPSC request
-/// queue feeding a worker pool that coalesces requests from many clients
-/// into shared micro-batches over one shared (never cloned) backend.
-///
-/// Compared to the synchronous [`InferenceEngine`](super::InferenceEngine)
-/// (one caller, one request at a time), this engine accepts requests from
-/// arbitrarily many threads, amortises per-invocation backend overhead
-/// across clients, expires requests whose deadline passes before service,
-/// pushes back on producers via the bounded queue, and drains in-flight
-/// work on shutdown. It is exactly one serving replica; to fan traffic
-/// across several heterogeneous replicas with latency-aware routing, use
-/// [`ShardedEngine`](super::ShardedEngine).
-///
-/// # Example
-///
-/// ```
-/// use bioformers::core::{Bioformer, BioformerConfig};
-/// use bioformers::serve::{AsyncEngine, AsyncEngineConfig};
-/// use bioformers::tensor::Tensor;
-/// use std::time::Duration;
-///
-/// let engine = AsyncEngine::with_config(
-///     Box::new(Bioformer::new(&BioformerConfig::bio1())),
-///     AsyncEngineConfig::default()
-///         .with_workers(1)
-///         .with_micro_batch(8)
-///         .with_linger(Duration::ZERO),
-/// );
-/// // Submit from any number of threads; each submission is independent.
-/// let pending = engine.submit(Tensor::zeros(&[2, 14, 300])).unwrap();
-/// let out = pending.wait().unwrap();
-/// assert_eq!(out.logits.dims(), &[2, 8]);
-/// assert_eq!(out.predictions.len(), 2);
-/// let stats = engine.shutdown();
-/// assert_eq!(stats.requests, 1);
-/// assert_eq!(stats.windows, 2);
-/// ```
-pub struct AsyncEngine {
-    replica: Replica,
-}
-
-impl AsyncEngine {
-    /// Spawns the worker pool over `backend` with the default
-    /// [`AsyncEngineConfig`].
-    pub fn new(backend: Box<dyn GestureClassifier>) -> Self {
-        AsyncEngine::with_config(backend, AsyncEngineConfig::default())
-    }
-
-    /// Spawns the worker pool over `backend` with an explicit config.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any config field is zero where ≥ 1 is required
-    /// (`workers`, `micro_batch`, `queue_capacity`).
-    pub fn with_config(backend: Box<dyn GestureClassifier>, cfg: AsyncEngineConfig) -> Self {
-        AsyncEngine {
-            replica: Replica::new(backend, cfg),
+impl Batch {
+    /// Admits `req` as a rider, or expires/rejects it on the spot. The
+    /// shape re-check against the first rider is defence-in-depth:
+    /// submission-time validation already pins the served shape
+    /// atomically, so a mismatch here means a validation bypass — reject
+    /// the request rather than letting the gather `copy_from_slice` panic
+    /// and cancel every rider.
+    fn admit(&mut self, req: Request) {
+        if req.deadline.is_some_and(|d| Instant::now() > d) {
+            self.expired += 1;
+            let _ = req.respond.send(Err(ServeError::DeadlineExpired));
+            return;
         }
-    }
-
-    /// Autotunes a compute backend for `backend`'s GEMM shapes (honouring
-    /// `BIOFORMER_TUNE`), installs it, then spawns the worker pool. A
-    /// no-op install (`Arc`-shared or seam-less backends) still yields a
-    /// working engine — the replica just serves on the default kernels.
-    pub fn with_tuned_compute(
-        mut backend: Box<dyn GestureClassifier>,
-        cfg: AsyncEngineConfig,
-    ) -> Self {
-        let (compute, _table) = super::tuned_compute(backend.as_ref());
-        backend.install_compute(compute);
-        AsyncEngine::with_config(backend, cfg)
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &AsyncEngineConfig {
-        self.replica.config()
-    }
-
-    /// The backend's name, e.g. `"bioformer-fp32"`.
-    pub fn backend_name(&self) -> &str {
-        self.replica.backend_name()
-    }
-
-    /// The backend's compute report at spawn time: `"default"` for
-    /// untuned replicas, or the tuned table summary.
-    pub fn compute_report(&self) -> &str {
-        self.replica.compute_report()
-    }
-
-    /// The backend's class count.
-    pub fn num_classes(&self) -> usize {
-        self.replica.num_classes()
-    }
-
-    /// The `[channels, samples]` window shape this engine serves, when
-    /// known: the backend's declared shape, or the shape pinned by the
-    /// first accepted request; `None` before either.
-    pub fn input_shape(&self) -> Option<(usize, usize)> {
-        self.replica.served_shape()
-    }
-
-    /// Requests currently waiting in the queue (excludes in-flight batches).
-    pub fn queue_depth(&self) -> usize {
-        self.replica.queue_depth()
-    }
-
-    /// Submits a request, blocking while the queue is full (cooperative
-    /// backpressure). Returns a handle to wait on.
-    pub fn submit(&self, windows: Tensor) -> Result<PendingResponse, ServeError> {
-        self.replica.submit(windows)
-    }
-
-    /// Submits a request without blocking: fails fast with
-    /// [`ServeError::QueueFull`] when the bounded queue is at capacity, so
-    /// load-shedding clients can drop or redirect work immediately.
-    pub fn try_submit(&self, windows: Tensor) -> Result<PendingResponse, ServeError> {
-        self.replica.try_submit(windows)
-    }
-
-    /// Submits a request that must **start** being served within `ttl`;
-    /// workers reject it with [`ServeError::DeadlineExpired`] otherwise.
-    /// (A batch already executing is never aborted.)
-    pub fn submit_with_deadline(
-        &self,
-        windows: Tensor,
-        ttl: Duration,
-    ) -> Result<PendingResponse, ServeError> {
-        self.replica.submit_with_deadline(windows, ttl)
-    }
-
-    /// Convenience wrapper: [`AsyncEngine::submit`] then
-    /// [`PendingResponse::wait`].
-    pub fn classify(&self, windows: Tensor) -> Result<RequestOutput, ServeError> {
-        self.submit(windows)?.wait()
-    }
-
-    /// A live snapshot of aggregate + per-worker statistics.
-    pub fn stats(&self) -> AsyncStats {
-        self.replica.stats()
-    }
-
-    /// Graceful shutdown: stops accepting new requests, drains and serves
-    /// everything already queued, joins the workers and returns the final
-    /// statistics. Dropping the engine does the same minus the stats.
-    pub fn shutdown(mut self) -> AsyncStats {
-        self.replica.close_and_join();
-        self.replica.stats()
-    }
-}
-
-impl std::fmt::Debug for AsyncEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AsyncEngine")
-            .field("backend", &self.replica.backend_name)
-            .field("config", &self.replica.cfg)
-            .field("queue_depth", &self.replica.queue.len())
-            .field("queue_capacity", &self.replica.queue.capacity())
-            .finish()
-    }
-}
-
-/// One worker: pop → coalesce until batch-full or linger deadline → expire
-/// late requests → execute → respond, until the queue closes and drains.
-fn worker_loop(
-    _id: usize,
-    queue: &RequestQueue,
-    backend: &dyn GestureClassifier,
-    cfg: &AsyncEngineConfig,
-    stats: &Mutex<WorkerInner>,
-    shared: &ReplicaShared,
-) {
-    let micro_batch = cfg.micro_batch;
-    // One scratch arena per worker thread, reused across every batch this
-    // worker ever executes: after the first batch of a given shape, model
-    // forwards draw all their intermediates from the pool instead of the
-    // global allocator.
-    let mut arena = TensorArena::new();
-    while let Some(first) = queue.pop() {
-        let mut batch = Vec::new();
-        let mut total = 0usize;
-        let mut expired = 0usize;
-        let mut rejected = 0usize;
-        admit(first, &mut batch, &mut total, &mut expired, &mut rejected);
-        // Coalesce: drain the backlog immediately, then wait out the linger
-        // window for stragglers — but never once the batch is full.
-        let flush_at = Instant::now() + effective_linger(cfg, shared);
-        while total < micro_batch {
-            match queue.pop_until(flush_at) {
-                Some(req) => admit(req, &mut batch, &mut total, &mut expired, &mut rejected),
-                None => break,
+        if let Some(first) = self.riders.first() {
+            if req.shape() != first.shape() {
+                self.rejected += 1;
+                let (c, s) = req.shape();
+                let (ec, es) = first.shape();
+                let _ = req.respond.send(Err(ServeError::BadRequest(format!(
+                    "window shape [{c}, {s}] does not match batch shape [{ec}, {es}]"
+                ))));
+                return;
             }
         }
+        self.total += req.windows.dims()[0];
+        self.riders.push(req);
+    }
+}
+
+impl ReplicaCore {
+    /// Executes one formed batch and accounts for it: expires riders whose
+    /// deadline passed while it formed, runs the rest on the backend,
+    /// responds to every rider, and updates the counters and health
+    /// signals. A panicking backend (bad logits shape, internal assert, …)
+    /// cancels the batch's riders instead of unwinding into the worker —
+    /// or into an inline caller.
+    fn execute(&self, batch: Batch, arena: &mut TensorArena) {
+        let Batch {
+            mut riders,
+            mut total,
+            mut expired,
+            rejected,
+        } = batch;
         // Re-check deadlines at execution start: lingering must not revive
         // requests that expired while the batch was forming.
         let exec_start = Instant::now();
-        batch.retain(|req| {
+        riders.retain(|req| {
             let late = req.deadline.is_some_and(|d| exec_start > d);
             if late {
                 expired += 1;
@@ -1003,33 +750,37 @@ fn worker_loop(
             !late
         });
 
-        // A panicking backend (bad logits shape, internal assert, …) must
-        // not take the worker thread down with it — that would leave every
-        // queued client waiting forever. Catch the unwind, cancel the
-        // batch's requests, count the failure and keep serving.
-        let outcome = if batch.is_empty() {
+        let shared = &self.shared;
+        let outcome = if riders.is_empty() {
             Ok(Vec::new())
         } else {
             shared.busy_workers.fetch_add(1, Ordering::Relaxed);
-            shared.executing.fetch_add(batch.len(), Ordering::Relaxed);
+            shared.executing.fetch_add(riders.len(), Ordering::Relaxed);
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_batch(backend, micro_batch, &batch, total, exec_start, &mut arena)
+                run_batch(
+                    self.backend.as_ref(),
+                    self.cfg.micro_batch,
+                    &riders,
+                    total,
+                    exec_start,
+                    arena,
+                )
             }));
-            shared.executing.fetch_sub(batch.len(), Ordering::Relaxed);
+            shared.executing.fetch_sub(riders.len(), Ordering::Relaxed);
             shared.busy_workers.fetch_sub(1, Ordering::Relaxed);
             outcome
         };
 
-        // Every request admitted this iteration has now been responded to
+        // Every request admitted to this batch has now been responded to
         // (served, expired, rejected, or about to be cancelled below).
-        shared.note_responded(batch.len() + expired + rejected);
+        shared.note_responded(riders.len() + expired + rejected);
 
-        let mut inner = stats.lock().unwrap_or_else(|e| e.into_inner());
+        let mut inner = self.stats.lock().unwrap_or_else(|e| e.into_inner());
         inner.expired += expired;
         inner.rejected += rejected;
         match outcome {
             Ok(latencies) => {
-                inner.requests += batch.len();
+                inner.requests += riders.len();
                 inner.windows += total;
                 // Count a batch only when the backend actually ran: a flush
                 // containing only zero-window requests produces no backend
@@ -1037,7 +788,7 @@ fn worker_loop(
                 // `requests_per_batch` with phantom batches.
                 if !latencies.is_empty() {
                     inner.batches += 1;
-                    if batch.len() > 1 {
+                    if riders.len() > 1 {
                         inner.coalesced_batches += 1;
                     }
                     inner.record_latencies(&latencies);
@@ -1046,57 +797,48 @@ fn worker_loop(
                 }
             }
             Err(_panic) => {
-                inner.failed += batch.len();
+                inner.failed += riders.len();
                 drop(inner);
                 // Bump the health signal before cancelling, so a router
                 // woken by the cancellation already sees the failure.
                 shared.note_batch_failure();
-                for req in &batch {
+                for req in &riders {
                     let _ = req.respond.send(Err(ServeError::Cancelled));
                 }
-                continue;
             }
         }
     }
 }
 
-/// Admits `req` into the forming batch, or expires/rejects it on the spot.
-/// The shape re-check against the batch's first rider is defence-in-depth:
-/// submission-time validation already pins the served shape atomically, so
-/// a mismatch here means a validation bypass — reject the request rather
-/// than letting the gather `copy_from_slice` panic and cancel every rider.
-fn admit(
-    req: Request,
-    batch: &mut Vec<Request>,
-    total: &mut usize,
-    expired: &mut usize,
-    rejected: &mut usize,
-) {
-    if req.deadline.is_some_and(|d| Instant::now() > d) {
-        *expired += 1;
-        let _ = req.respond.send(Err(ServeError::DeadlineExpired));
-        return;
-    }
-    if let Some(first) = batch.first() {
-        if req.shape() != first.shape() {
-            *rejected += 1;
-            let (c, s) = req.shape();
-            let (ec, es) = first.shape();
-            let _ = req.respond.send(Err(ServeError::BadRequest(format!(
-                "window shape [{c}, {s}] does not match batch shape [{ec}, {es}]"
-            ))));
-            return;
+/// One worker: pop → coalesce until batch-full or linger deadline →
+/// execute, until the queue closes and drains.
+fn worker_loop(core: &ReplicaCore) {
+    // One scratch arena per worker thread, reused across every batch this
+    // worker ever executes: after the first batch of a given shape, model
+    // forwards draw all their intermediates from the pool instead of the
+    // global allocator.
+    let mut arena = TensorArena::new();
+    while let Some(first) = core.queue.pop() {
+        let mut batch = Batch::default();
+        batch.admit(first);
+        // Coalesce: drain the backlog immediately, then wait out the linger
+        // window for stragglers — but never once the batch is full.
+        let flush_at = Instant::now() + effective_linger(&core.cfg, &core.shared);
+        while batch.total < core.cfg.micro_batch {
+            match core.queue.pop_until(flush_at) {
+                Some(req) => batch.admit(req),
+                None => break,
+            }
         }
+        core.execute(batch, &mut arena);
     }
-    *total += req.windows.dims()[0];
-    batch.push(req);
 }
 
 /// Executes one coalesced batch and responds to every request in it;
 /// returns the per-micro-batch backend latencies.
 ///
 /// All execution scratch (the gather tensor, model intermediates, the
-/// shared logits) lives in the worker's `arena` and is recycled before
+/// shared logits) lives in the executor's `arena` and is recycled before
 /// returning — only the per-request response tensors, which escape to the
 /// clients, are freshly allocated.
 fn run_batch(
@@ -1190,26 +932,37 @@ mod tests {
         }
     }
 
-    fn probe_engine(cfg: AsyncEngineConfig) -> (AsyncEngine, Arc<Mutex<Vec<usize>>>) {
+    fn probe_replica(cfg: AsyncEngineConfig) -> (Replica, Arc<Mutex<Vec<usize>>>) {
         let seen = Arc::new(Mutex::new(Vec::new()));
-        let engine = AsyncEngine::with_config(
+        let replica = Replica::new(
             Box::new(Probe {
                 classes: 4,
                 seen: Arc::clone(&seen),
             }),
             cfg,
         );
-        (engine, seen)
+        (replica, seen)
+    }
+
+    fn classify(replica: &Replica, windows: Tensor) -> Result<RequestOutput, ServeError> {
+        replica.submit(windows)?.wait()
+    }
+
+    /// Graceful shutdown: drain, join, and return the final counters.
+    fn shutdown(mut replica: Replica) -> Counters {
+        replica.close();
+        replica.join();
+        replica.snapshot()
     }
 
     #[test]
     fn serves_a_single_request() {
-        let (engine, _seen) = probe_engine(AsyncEngineConfig::default().with_workers(1));
-        let out = engine.classify(Tensor::zeros(&[3, 2, 5])).unwrap();
+        let (replica, _seen) = probe_replica(AsyncEngineConfig::default().with_workers(1));
+        let out = classify(&replica, Tensor::zeros(&[3, 2, 5])).unwrap();
         assert_eq!(out.logits.dims(), &[3, 4]);
         assert_eq!(out.predictions.len(), 3);
         assert!(out.batch_requests >= 1);
-        let stats = engine.shutdown();
+        let stats = shutdown(replica);
         assert_eq!(stats.requests, 1);
         assert_eq!(stats.windows, 3);
         assert_eq!(stats.expired, 0);
@@ -1217,8 +970,8 @@ mod tests {
 
     #[test]
     fn empty_requests_are_served() {
-        let (engine, seen) = probe_engine(AsyncEngineConfig::default().with_workers(1));
-        let out = engine.classify(Tensor::zeros(&[0, 2, 5])).unwrap();
+        let (replica, seen) = probe_replica(AsyncEngineConfig::default().with_workers(1));
+        let out = classify(&replica, Tensor::zeros(&[0, 2, 5])).unwrap();
         assert_eq!(out.logits.dims(), &[0, 4]);
         assert!(out.predictions.is_empty());
         assert!(seen.lock().unwrap().is_empty(), "no backend call for n=0");
@@ -1230,11 +983,18 @@ mod tests {
     /// `batches == 3` and skewed `requests_per_batch` towards 1.0.
     #[test]
     fn zero_window_flushes_are_not_counted_as_batches() {
-        let (engine, seen) = probe_engine(
-            AsyncEngineConfig::default()
-                .with_workers(1)
-                .with_linger(Duration::ZERO),
-        );
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let engine = crate::serve::ShardedEngine::builder()
+            .with_replica_config(
+                AsyncEngineConfig::default()
+                    .with_workers(1)
+                    .with_linger(Duration::ZERO),
+            )
+            .add_replica(Box::new(Probe {
+                classes: 4,
+                seen: Arc::clone(&seen),
+            }))
+            .build();
         for _ in 0..3 {
             let out = engine.classify(Tensor::zeros(&[0, 2, 5])).unwrap();
             assert_eq!(out.logits.dims(), &[0, 4]);
@@ -1250,16 +1010,17 @@ mod tests {
 
     #[test]
     fn rejects_non_rank3_and_mismatched_shapes() {
-        let (engine, _seen) = probe_engine(AsyncEngineConfig::default().with_workers(1));
+        let (replica, _seen) = probe_replica(AsyncEngineConfig::default().with_workers(1));
         assert!(matches!(
-            engine.submit(Tensor::zeros(&[4, 10])),
+            replica.submit(Tensor::zeros(&[4, 10])),
             Err(ServeError::BadRequest(_))
         ));
-        let _ = engine.classify(Tensor::zeros(&[1, 2, 5])).unwrap();
+        let _ = classify(&replica, Tensor::zeros(&[1, 2, 5])).unwrap();
         assert!(matches!(
-            engine.submit(Tensor::zeros(&[1, 3, 5])),
+            replica.submit(Tensor::zeros(&[1, 3, 5])),
             Err(ServeError::BadRequest(_))
         ));
+        assert_eq!(replica.snapshot().rejected, 2, "validation counts both");
     }
 
     /// Regression (shape-pinning race): validation and pinning used to take
@@ -1271,18 +1032,18 @@ mod tests {
     /// validation must now lose.
     #[test]
     fn concurrent_first_submissions_with_different_shapes_cannot_both_pin() {
-        let (engine, _seen) = probe_engine(AsyncEngineConfig::default().with_workers(1));
+        let (replica, _seen) = probe_replica(AsyncEngineConfig::default().with_workers(1));
         // Both requests validated before either is pushed to the queue —
         // the interleaving the old two-lock scheme allowed.
-        let first = engine.replica.make_request(Tensor::zeros(&[1, 2, 5]), None);
-        let second = engine.replica.make_request(Tensor::zeros(&[1, 3, 7]), None);
+        let first = replica.make_request(Tensor::zeros(&[1, 2, 5]), None);
+        let second = replica.make_request(Tensor::zeros(&[1, 3, 7]), None);
         assert!(first.is_ok(), "first shape pins the engine");
         assert!(
             matches!(second, Err(ServeError::BadRequest(_))),
             "second shape must be rejected by the atomic validate-and-pin"
         );
         // The pinned shape keeps serving.
-        let out = engine.classify(Tensor::zeros(&[2, 2, 5])).unwrap();
+        let out = classify(&replica, Tensor::zeros(&[2, 2, 5])).unwrap();
         assert_eq!(out.logits.dims(), &[2, 4]);
     }
 
@@ -1291,17 +1052,16 @@ mod tests {
     /// first *accepted* request has.
     #[test]
     fn failed_enqueue_rolls_back_a_provisional_pin() {
-        let (engine, _seen) = probe_engine(AsyncEngineConfig::default().with_workers(1));
-        engine.replica.close();
+        let (replica, _seen) = probe_replica(AsyncEngineConfig::default().with_workers(1));
+        replica.close();
         assert_eq!(
-            engine.submit(Tensor::zeros(&[1, 2, 5])).unwrap_err(),
+            replica.submit(Tensor::zeros(&[1, 2, 5])).unwrap_err(),
             ServeError::ShuttingDown
         );
         // The rejected request's shape was not committed: a different shape
         // still validates (only the enqueue fails, on the closed queue).
         assert!(
-            engine
-                .replica
+            replica
                 .make_request(Tensor::zeros(&[1, 3, 7]), None)
                 .is_ok(),
             "shape from a never-enqueued request must not stick"
@@ -1315,35 +1075,22 @@ mod tests {
     fn admit_rejects_shape_mismatch_within_a_batch() {
         let (tx_a, _rx_a) = mpsc::channel();
         let (tx_b, rx_b) = mpsc::channel();
-        let mut batch = Vec::new();
-        let (mut total, mut expired, mut rejected) = (0usize, 0usize, 0usize);
-        admit(
-            Request {
-                windows: Tensor::zeros(&[2, 2, 5]),
-                deadline: None,
-                enqueued: Instant::now(),
-                respond: tx_a,
-            },
-            &mut batch,
-            &mut total,
-            &mut expired,
-            &mut rejected,
-        );
-        admit(
-            Request {
-                windows: Tensor::zeros(&[1, 3, 7]),
-                deadline: None,
-                enqueued: Instant::now(),
-                respond: tx_b,
-            },
-            &mut batch,
-            &mut total,
-            &mut expired,
-            &mut rejected,
-        );
-        assert_eq!(batch.len(), 1, "mismatched request must not join");
-        assert_eq!(total, 2);
-        assert_eq!(rejected, 1);
+        let mut batch = Batch::default();
+        batch.admit(Request {
+            windows: Tensor::zeros(&[2, 2, 5]),
+            deadline: None,
+            enqueued: Instant::now(),
+            respond: tx_a,
+        });
+        batch.admit(Request {
+            windows: Tensor::zeros(&[1, 3, 7]),
+            deadline: None,
+            enqueued: Instant::now(),
+            respond: tx_b,
+        });
+        assert_eq!(batch.riders.len(), 1, "mismatched request must not join");
+        assert_eq!(batch.total, 2);
+        assert_eq!(batch.rejected, 1);
         assert!(matches!(
             rx_b.try_recv().unwrap(),
             Err(ServeError::BadRequest(_))
@@ -1352,18 +1099,47 @@ mod tests {
 
     #[test]
     fn submit_after_shutdown_fails() {
-        let (engine, _seen) = probe_engine(AsyncEngineConfig::default().with_workers(1));
-        engine.replica.close();
-        assert_eq!(
-            engine.submit(Tensor::zeros(&[1, 2, 5])).unwrap_err(),
-            ServeError::ShuttingDown
-        );
+        for workers in [0, 1] {
+            let (replica, _seen) =
+                probe_replica(AsyncEngineConfig::default().with_workers(workers));
+            replica.close();
+            assert_eq!(
+                replica.submit(Tensor::zeros(&[1, 2, 5])).unwrap_err(),
+                ServeError::ShuttingDown,
+                "workers={workers}"
+            );
+        }
     }
 
+    /// `workers: 0` serves on the caller's thread: the handle is already
+    /// resolved when `submit` returns, and the counters account exactly
+    /// one batch of that request's micro-batches.
     #[test]
-    #[should_panic(expected = "workers must be >= 1")]
-    fn zero_workers_rejected() {
-        let _ = probe_engine(AsyncEngineConfig::default().with_workers(0));
+    fn zero_workers_serve_inline() {
+        let (replica, seen) = probe_replica(
+            AsyncEngineConfig::default()
+                .with_workers(0)
+                .with_micro_batch(2),
+        );
+        assert!(
+            replica.handles.is_empty(),
+            "an inline replica spawns no thread"
+        );
+        let pending = replica.submit(Tensor::zeros(&[3, 2, 5])).unwrap();
+        assert_eq!(*seen.lock().unwrap(), vec![2, 1], "served before returning");
+        let out = pending
+            .try_wait()
+            .expect("an inline handle is already resolved")
+            .unwrap();
+        assert_eq!(out.logits.dims(), &[3, 4]);
+        assert_eq!((out.batch_requests, out.batch_windows), (1, 3));
+        let stats = shutdown(replica);
+        assert_eq!(stats.requests, 1);
+        assert_eq!(stats.windows, 3);
+        assert_eq!(stats.batches, 1);
+        assert_eq!(stats.coalesced_batches, 0);
+        assert_eq!(stats.latency_stats().micro_batches, 2);
+        assert_eq!((stats.expired, stats.failed, stats.rejected), (0, 0, 0));
     }
 
     /// A backend that panics on every batch.
@@ -1385,19 +1161,19 @@ mod tests {
 
     #[test]
     fn backend_panic_cancels_batch_but_worker_survives() {
-        let engine = AsyncEngine::with_config(
+        let replica = Replica::new(
             Box::new(Exploding),
             AsyncEngineConfig::default().with_workers(1),
         );
         // Two separate panicking batches: the worker must survive the
         // first to serve (and cancel) the second.
         for _ in 0..2 {
-            let out = engine.classify(Tensor::zeros(&[1, 2, 5]));
+            let out = classify(&replica, Tensor::zeros(&[1, 2, 5]));
             assert_eq!(out.unwrap_err(), ServeError::Cancelled);
         }
-        assert_eq!(engine.replica.shared().consecutive_failures(), 2);
-        assert_eq!(engine.replica.shared().alive_workers(), 1);
-        let stats = engine.shutdown();
+        assert_eq!(replica.shared().consecutive_failures(), 2);
+        assert_eq!(replica.shared().alive_workers(), 1);
+        let stats = shutdown(replica);
         assert_eq!(stats.failed, 2);
         assert_eq!(stats.requests, 0);
         assert_eq!(stats.batches, 0);
@@ -1426,36 +1202,38 @@ mod tests {
                 "flaky-once"
             }
         }
-        let engine = AsyncEngine::with_config(
+        let replica = Replica::new(
             Box::new(FlakyOnce {
                 failed: Mutex::new(false),
             }),
             AsyncEngineConfig::default().with_workers(1),
         );
         assert_eq!(
-            engine.classify(Tensor::zeros(&[1, 2, 5])).unwrap_err(),
+            classify(&replica, Tensor::zeros(&[1, 2, 5])).unwrap_err(),
             ServeError::Cancelled
         );
-        assert_eq!(engine.replica.shared().consecutive_failures(), 1);
-        assert!(engine.classify(Tensor::zeros(&[1, 2, 5])).is_ok());
+        assert_eq!(replica.shared().consecutive_failures(), 1);
+        assert!(classify(&replica, Tensor::zeros(&[1, 2, 5])).is_ok());
         // The response is delivered from inside the batch, before the
         // worker's post-batch accounting — wait for the reset to land.
         let t0 = Instant::now();
-        while engine.replica.shared().consecutive_failures() != 0
-            && t0.elapsed() < Duration::from_secs(2)
+        while replica.shared().consecutive_failures() != 0 && t0.elapsed() < Duration::from_secs(2)
         {
             std::thread::yield_now();
         }
-        assert_eq!(engine.replica.shared().consecutive_failures(), 0);
+        assert_eq!(replica.shared().consecutive_failures(), 0);
     }
 
     #[test]
     fn latency_window_stays_bounded_with_exact_totals() {
-        let mut inner = WorkerInner::default();
+        let mut inner = Counters {
+            windows: 10_000,
+            ..Counters::default()
+        };
         let samples: Vec<Duration> = (1..=10_000).map(Duration::from_micros).collect();
         inner.record_latencies(&samples);
         assert_eq!(inner.recent.len(), LATENCY_WINDOW);
-        let stats = inner.latency_stats(10_000);
+        let stats = inner.latency_stats();
         assert_eq!(stats.micro_batches, 10_000);
         assert_eq!(stats.min, Duration::from_micros(1));
         assert_eq!(stats.max, Duration::from_micros(10_000));

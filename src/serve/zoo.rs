@@ -918,8 +918,18 @@ impl Default for ModelZoo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve::InferenceEngine;
+    use crate::serve::{AsyncEngineConfig, GestureClassifier, ShardedEngine, StageStats};
     use bioformer_core::{Bioformer, BioformerConfig, WaveFormer};
+
+    /// An inline replica: each request runs on the caller's thread.
+    fn inline(backend: Box<dyn GestureClassifier>) -> Arc<dyn Engine> {
+        Arc::new(
+            ShardedEngine::builder()
+                .with_replica_config(AsyncEngineConfig::default().with_workers(0))
+                .add_replica(backend)
+                .build(),
+        )
+    }
 
     fn small_bioformer() -> Arc<dyn Engine> {
         let cfg = BioformerConfig {
@@ -931,13 +941,11 @@ mod tests {
             dropout: 0.0,
             ..BioformerConfig::bio1()
         };
-        Arc::new(InferenceEngine::new(Box::new(Arc::new(Bioformer::new(
-            &cfg,
-        )))))
+        inline(Box::new(Bioformer::new(&cfg)))
     }
 
     fn waveformer_engine() -> Arc<dyn Engine> {
-        Arc::new(InferenceEngine::new(Box::new(Arc::new(WaveFormer::new(7)))))
+        inline(Box::new(WaveFormer::new(7)))
     }
 
     fn window_batch(n: usize, seed: u64) -> Tensor {
@@ -1016,8 +1024,13 @@ mod tests {
         let mut zoo = ModelZoo::new();
         zoo.register("inc", small_bioformer()).unwrap();
         zoo.register("cand", small_bioformer()).unwrap();
+        // Two identical models' wall-clock p99 over a handful of requests
+        // is noise, so this test pins only the evidence and agreement
+        // gates; `latency_gate_holds_a_slow_candidate` pins the latency
+        // gate deterministically.
         let policy = PromotionPolicy {
             min_windows: 8,
+            max_latency_ratio: f64::INFINITY,
             ..PromotionPolicy::default()
         };
         zoo.start_experiment("inc", "cand", RouteMode::Shadow, policy)
@@ -1044,12 +1057,52 @@ mod tests {
         assert!(stats.rollup_consistent());
     }
 
+    /// The latency gate on hand-built evidence: with every other gate
+    /// cleared, a candidate p99 at 3× the incumbent's holds the promotion
+    /// with the latency reason, and one at 1.5× promotes.
+    #[test]
+    fn latency_gate_holds_a_slow_candidate() {
+        let compute = |p99_ms: u64| StageSummary {
+            compute: StageStats {
+                count: 100,
+                p50: Duration::from_millis(p99_ms / 2),
+                p95: Duration::from_millis(p99_ms),
+                p99: Duration::from_millis(p99_ms),
+            },
+            ..StageSummary::default()
+        };
+        let evidence = |candidate_p99_ms: u64| ExperimentStats {
+            incumbent: "inc".into(),
+            candidate: "cand".into(),
+            mode: RouteMode::Shadow,
+            incumbent_requests: 200,
+            candidate_requests: 200,
+            candidate_windows: 200,
+            resolved: 200,
+            dropped: 0,
+            compared_windows: 200,
+            agreed_windows: 200,
+            confidence_delta_sum: 0.0,
+            incumbent_stages: compute(10),
+            candidate_stages: compute(candidate_p99_ms),
+        };
+        let policy = PromotionPolicy::default();
+        match policy.evaluate(&evidence(30)) {
+            PromotionDecision::Hold(reasons) => assert_eq!(
+                reasons,
+                vec!["latency ratio 3.00 > allowed 2.00".to_string()]
+            ),
+            d => panic!("a 3x slower candidate must be held, got {d:?}"),
+        }
+        assert_eq!(policy.evaluate(&evidence(15)), PromotionDecision::Promote);
+    }
+
     #[test]
     fn class_count_mismatch_is_rejected_at_registration() {
         struct TinyEngine;
         impl Engine for TinyEngine {
             fn kind(&self) -> &'static str {
-                "inference"
+                "tiny"
             }
             fn backends(&self) -> Vec<String> {
                 vec!["tiny".into()]
@@ -1074,19 +1127,7 @@ mod tests {
                 Err(ServeError::Unavailable)
             }
             fn engine_stats(&self) -> EngineStats {
-                EngineStats {
-                    engine: "inference",
-                    backends: vec![],
-                    tuning: vec![],
-                    requests: 0,
-                    expired: 0,
-                    failed: 0,
-                    rejected: 0,
-                    batches: 0,
-                    coalesced_batches: 0,
-                    windows: 0,
-                    latency: crate::serve::LatencyStats::from_samples(&mut [], 0),
-                }
+                EngineStats::default()
             }
             fn shutdown(self: Box<Self>) -> EngineStats {
                 self.engine_stats()

@@ -17,8 +17,8 @@ use bioformers::nn::serialize::state_dict;
 use bioformers::nn::InferForward;
 use bioformers::quant::QuantBioformer;
 use bioformers::serve::{
-    DecisionPolicy, GestureClassifier, InferenceEngine, LatencyTrace, StageRecorder, StreamConfig,
-    StreamSession,
+    AsyncEngineConfig, DecisionPolicy, GestureClassifier, LatencyTrace, ShardedEngine,
+    StageRecorder, StreamConfig, StreamSession,
 };
 use bioformers::tensor::{parallel, Tensor, TensorArena};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -297,8 +297,12 @@ fn traced_stream_session_per_push_allocations_stay_constant() {
     };
     let chunks = [interleave(&candidates[a]), interleave(&candidates[b])];
 
-    let engine: std::sync::Arc<dyn bioformers::serve::Engine> =
-        std::sync::Arc::new(InferenceEngine::new(Box::new(model)));
+    let engine: std::sync::Arc<dyn bioformers::serve::Engine> = std::sync::Arc::new(
+        ShardedEngine::builder()
+            .with_replica_config(AsyncEngineConfig::default().with_workers(0))
+            .add_replica(Box::new(model))
+            .build(),
+    );
     let cfg = StreamConfig::db6()
         .with_slide(300)
         .with_lookahead(0)

@@ -11,7 +11,7 @@ use bioformers::core::{Bioformer, BioformerConfig};
 use bioformers::nn::serialize::state_dict;
 use bioformers::quant::QuantBioformer;
 use bioformers::semg::{CHANNELS, WINDOW};
-use bioformers::serve::{tuned_compute, Engine, InferenceEngine, ShardedEngine};
+use bioformers::serve::{tuned_compute, AsyncEngineConfig, Engine, ShardedEngine};
 use bioformers::tensor::backend::{ComputeBackend, PackedCpuBackend};
 use bioformers::tensor::tune::{tune, TuneTable};
 use bioformers::tensor::Tensor;
@@ -72,11 +72,16 @@ fn tune_off_forces_default_plans_and_is_deterministic() {
 #[test]
 fn tuned_fp32_engine_matches_default_logits_within_tolerance() {
     let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let default_engine = InferenceEngine::new(Box::new(small_bioformer(33)));
-    let tuned_engine = InferenceEngine::new(Box::new(small_bioformer(33))).with_tuned_compute();
+    let inline = || {
+        ShardedEngine::builder().with_replica_config(AsyncEngineConfig::default().with_workers(0))
+    };
+    let default_engine = inline().add_replica(Box::new(small_bioformer(33))).build();
+    let tuned_engine = inline()
+        .add_tuned_replica(Box::new(small_bioformer(33)))
+        .build();
     let w = windows(4, 9);
-    let base = default_engine.serve_checked(&w).expect("default serve");
-    let tuned = tuned_engine.serve_checked(&w).expect("tuned serve");
+    let base = default_engine.classify(w.clone()).expect("default serve");
+    let tuned = tuned_engine.classify(w).expect("tuned serve");
 
     assert_eq!(base.logits.dims(), tuned.logits.dims());
     for (i, (a, b)) in base
@@ -93,19 +98,15 @@ fn tuned_fp32_engine_matches_default_logits_within_tolerance() {
     }
     assert_eq!(base.predictions, tuned.predictions);
 
-    // The tuning state is visible in the stats schema, replica-parallel
-    // to `backends`.
-    assert_eq!(default_engine.compute_report(), "packed-cpu[default]");
-    assert!(
-        tuned_engine
-            .compute_report()
-            .starts_with("packed-cpu[tier="),
-        "tuned report must carry the table summary: {}",
-        tuned_engine.compute_report()
-    );
+    // The tuning state is visible in the replica's stats row.
     assert_eq!(
-        tuned_engine.stats().tuning,
-        vec![tuned_engine.compute_report()]
+        default_engine.stats().per_replica[0].tuning,
+        "packed-cpu[default]"
+    );
+    let tuned_report = &tuned_engine.stats().per_replica[0].tuning;
+    assert!(
+        tuned_report.starts_with("packed-cpu[tier="),
+        "tuned report must carry the table summary: {tuned_report}"
     );
 }
 
@@ -144,16 +145,15 @@ fn sharded_pool_mixes_tuned_and_default_replicas() {
     assert_eq!(out.logits.dims()[0], 2);
 
     let stats = Engine::engine_stats(&pool);
-    assert_eq!(stats.backends.len(), 2);
-    assert_eq!(stats.tuning.len(), 2, "one tuning report per replica");
-    assert_eq!(stats.tuning[0], "packed-cpu[default]");
+    assert_eq!(stats.per_replica.len(), 2, "one tuning report per replica");
+    assert_eq!(stats.per_replica[0].tuning, "packed-cpu[default]");
     assert!(
-        stats.tuning[1].starts_with("packed-cpu[tier="),
+        stats.per_replica[1].tuning.starts_with("packed-cpu[tier="),
         "tuned replica must report its table: {}",
-        stats.tuning[1]
+        stats.per_replica[1].tuning
     );
     let last = Engine::shutdown(Box::new(pool));
-    assert_eq!(last.tuning.len(), 2);
+    assert_eq!(last.per_replica.len(), 2);
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! End-to-end tests of the serving layer: the same trained Bioformer served
-//! through [`InferenceEngine`] as fp32 and as the fully-integer int8
-//! pipeline, plus micro-batch splitting edge cases on real model backends.
+//! through an inline engine replica (`workers: 0`) as fp32 and as the
+//! fully-integer int8 pipeline, plus micro-batch splitting edge cases on
+//! real model backends.
 
 use bioformers::core::protocol::{run_standard, ProtocolConfig};
 use bioformers::core::{Bioformer, BioformerConfig, TempoNet};
@@ -8,7 +9,7 @@ use bioformers::nn::serialize::state_dict;
 use bioformers::nn::Model;
 use bioformers::quant::QuantBioformer;
 use bioformers::semg::{DatasetSpec, NinaproDb6, Normalizer, CHANNELS, WINDOW};
-use bioformers::serve::{GestureClassifier, InferenceEngine};
+use bioformers::serve::{AsyncEngineConfig, GestureClassifier, ShardedEngine};
 use bioformers::tensor::Tensor;
 
 fn small_bioformer(seed: u64) -> Bioformer {
@@ -22,6 +23,18 @@ fn small_bioformer(seed: u64) -> Bioformer {
         seed,
         ..BioformerConfig::bio1()
     })
+}
+
+/// An inline replica serving `backend` in micro-batches of `micro`.
+fn inline(backend: Box<dyn GestureClassifier>, micro: usize) -> ShardedEngine {
+    ShardedEngine::builder()
+        .with_replica_config(
+            AsyncEngineConfig::default()
+                .with_workers(0)
+                .with_micro_batch(micro),
+        )
+        .add_replica(backend)
+        .build()
 }
 
 /// Normalised windows from the tiny synthetic DB6.
@@ -47,38 +60,39 @@ fn engine_matches_direct_forward_for_all_micro_batch_sizes() {
     // must all reproduce the full-batch logits exactly: micro-batching
     // only partitions rows, it never changes per-row arithmetic.
     for micro in [1, 3, 7, 64] {
-        let engine = InferenceEngine::new(Box::new(model.clone())).with_micro_batch(micro);
-        let out = engine.serve_checked(&windows).expect("serve");
+        let engine = inline(Box::new(model.clone()), micro);
+        let out = engine.classify(windows.clone()).expect("serve");
         assert_eq!(out.logits.dims(), direct.dims());
         assert!(
             out.logits.allclose(&direct, 1e-6),
             "micro={micro}: engine logits diverge from direct forward"
         );
         let expected_batches = windows.dims()[0].div_ceil(micro);
-        assert_eq!(out.stats.micro_batches, expected_batches);
-        assert_eq!(out.stats.windows, 7);
+        let stats = engine.stats();
+        assert_eq!(stats.latency.micro_batches, expected_batches);
+        assert_eq!(stats.latency.windows, 7);
         assert_eq!(out.predictions, direct.argmax_rows());
     }
 }
 
 #[test]
 fn empty_request_yields_empty_logits() {
-    let engine = InferenceEngine::new(Box::new(small_bioformer(12)));
+    let engine = inline(Box::new(small_bioformer(12)), 32);
     let out = engine
-        .serve_checked(&Tensor::zeros(&[0, CHANNELS, WINDOW]))
+        .classify(Tensor::zeros(&[0, CHANNELS, WINDOW]))
         .expect("serve");
     assert_eq!(out.logits.dims(), &[0, 8]);
     assert!(out.predictions.is_empty());
-    assert_eq!(out.stats.micro_batches, 0);
+    assert_eq!(engine.stats().latency.micro_batches, 0);
 }
 
 #[test]
 fn temponet_backend_serves_through_the_same_engine() {
-    let engine = InferenceEngine::new(Box::new(TempoNet::new(3))).with_micro_batch(2);
-    let out = engine.serve_checked(&tiny_windows(5)).expect("serve");
-    assert_eq!(engine.backend_name(), "temponet-fp32");
+    let engine = inline(Box::new(TempoNet::new(3)), 2);
+    let out = engine.classify(tiny_windows(5)).expect("serve");
+    assert_eq!(engine.backend_names(), vec!["temponet-fp32".to_string()]);
     assert_eq!(out.logits.dims(), &[5, 8]);
-    assert_eq!(out.stats.micro_batches, 3);
+    assert_eq!(engine.stats().latency.micro_batches, 3);
     assert!(!out.logits.has_non_finite());
 }
 
@@ -112,12 +126,12 @@ fn fp32_and_int8_backends_agree_on_tiny_dataset() {
     let n = windows.dims()[0];
     assert!(n > 0);
 
-    let fp32 = InferenceEngine::new(Box::new(model.clone())).with_micro_batch(16);
-    let int8 = InferenceEngine::new(Box::new(qmodel)).with_micro_batch(16);
+    let fp32 = inline(Box::new(model.clone()), 16);
+    let int8 = inline(Box::new(qmodel), 16);
     assert_eq!(fp32.num_classes(), int8.num_classes());
 
-    let out32 = fp32.serve_checked(&windows).expect("serve");
-    let out8 = int8.serve_checked(&windows).expect("serve");
+    let out32 = fp32.classify(windows.clone()).expect("serve");
+    let out8 = int8.classify(windows).expect("serve");
     assert_eq!(out32.logits.dims(), out8.logits.dims());
 
     let agree = out32
@@ -149,9 +163,10 @@ fn fp32_and_int8_backends_agree_on_tiny_dataset() {
     );
 
     // Both backends ran micro-batched.
-    assert_eq!(out32.stats.micro_batches, n.div_ceil(16));
-    assert_eq!(out8.stats.micro_batches, n.div_ceil(16));
-    assert!(out32.stats.total > std::time::Duration::ZERO);
+    let (stats32, stats8) = (fp32.stats(), int8.stats());
+    assert_eq!(stats32.latency.micro_batches, n.div_ceil(16));
+    assert_eq!(stats8.latency.micro_batches, n.div_ceil(16));
+    assert!(stats32.latency.total > std::time::Duration::ZERO);
 }
 
 /// Fast end-to-end smoke: 1-epoch train → quantize → serve both precisions.
@@ -178,14 +193,11 @@ fn smoke_train_quantize_serve() {
     let qmodel = QuantBioformer::convert(model.config(), &dict, &calib).expect("conversion");
 
     let windows = tiny_windows(9);
-    for engine in [
-        InferenceEngine::new(Box::new(model)).with_micro_batch(4),
-        InferenceEngine::new(Box::new(qmodel)).with_micro_batch(4),
-    ] {
-        let out = engine.serve_checked(&windows).expect("serve");
+    for engine in [inline(Box::new(model), 4), inline(Box::new(qmodel), 4)] {
+        let out = engine.classify(windows.clone()).expect("serve");
         assert_eq!(out.logits.dims(), &[9, 8]);
         assert_eq!(out.predictions.len(), 9);
-        assert_eq!(out.stats.micro_batches, 3);
+        assert_eq!(engine.stats().latency.micro_batches, 3);
         assert!(!out.logits.has_non_finite());
         assert!(out.predictions.iter().all(|&p| p < engine.num_classes()));
     }

@@ -1,7 +1,7 @@
-//! End-to-end tests of the asynchronous serving engine: cross-request
-//! coalescing, deadline expiry, bounded-queue backpressure, graceful
-//! shutdown with in-flight requests, and fp32-vs-int8 agreement when both
-//! precisions answer through [`AsyncEngine`].
+//! End-to-end tests of one engine replica with its own worker pool:
+//! cross-request coalescing, deadline expiry, bounded-queue backpressure,
+//! graceful shutdown with in-flight requests, and fp32-vs-int8 agreement
+//! when both precisions answer through a worker-pool replica.
 
 use bioformers::core::protocol::{run_standard, ProtocolConfig};
 use bioformers::core::{Bioformer, BioformerConfig};
@@ -9,7 +9,7 @@ use bioformers::nn::serialize::state_dict;
 use bioformers::nn::InferForward;
 use bioformers::quant::QuantBioformer;
 use bioformers::semg::{DatasetSpec, NinaproDb6, Normalizer, CHANNELS, WINDOW};
-use bioformers::serve::{AsyncEngine, AsyncEngineConfig, GestureClassifier, ServeError};
+use bioformers::serve::{AsyncEngineConfig, GestureClassifier, ServeError, ShardedEngine};
 use bioformers::tensor::Tensor;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -26,6 +26,19 @@ fn small_bioformer(seed: u64) -> Bioformer {
         seed,
         ..BioformerConfig::bio1()
     })
+}
+
+/// One replica with its own worker pool, configured by `cfg`.
+fn single(backend: Box<dyn GestureClassifier>, cfg: AsyncEngineConfig) -> ShardedEngine {
+    ShardedEngine::builder()
+        .with_replica_config(cfg)
+        .add_replica(backend)
+        .build()
+}
+
+/// Requests waiting in the single replica's queue.
+fn queue_depth(engine: &ShardedEngine) -> usize {
+    engine.stats().per_replica[0].queue_depth
 }
 
 /// Normalised windows from the tiny synthetic DB6.
@@ -113,7 +126,7 @@ fn concurrent_clients_get_logits_identical_to_direct_forward() {
     let direct = model.forward_infer(&windows);
     let n = windows.dims()[0];
 
-    let engine = Arc::new(AsyncEngine::with_config(
+    let engine = Arc::new(single(
         Box::new(model),
         AsyncEngineConfig::default()
             .with_workers(2)
@@ -149,7 +162,7 @@ fn concurrent_clients_get_logits_identical_to_direct_forward() {
 #[test]
 fn backlogged_requests_coalesce_into_shared_batches() {
     let (backend, started, release, seen) = GatedBackend::new(4);
-    let engine = AsyncEngine::with_config(
+    let engine = single(
         Box::new(backend),
         AsyncEngineConfig::default()
             .with_workers(1)
@@ -165,7 +178,7 @@ fn backlogged_requests_coalesce_into_shared_batches() {
     let pending: Vec<_> = (0..4)
         .map(|_| engine.submit(Tensor::zeros(&[1, 2, 5])).unwrap())
         .collect();
-    assert_eq!(engine.queue_depth(), 4);
+    assert_eq!(queue_depth(&engine), 4);
 
     // Release the first batch, then the coalesced one.
     release.send(()).unwrap();
@@ -188,7 +201,7 @@ fn backlogged_requests_coalesce_into_shared_batches() {
 #[test]
 fn deadline_expires_before_service() {
     let (backend, started, release, _seen) = GatedBackend::new(4);
-    let engine = AsyncEngine::with_config(
+    let engine = single(
         Box::new(backend),
         AsyncEngineConfig::default()
             .with_workers(1)
@@ -213,7 +226,7 @@ fn deadline_expires_before_service() {
 
 #[test]
 fn declared_backend_shape_rejects_malformed_requests_upfront() {
-    let engine = AsyncEngine::with_config(
+    let engine = single(
         Box::new(small_bioformer(25)),
         AsyncEngineConfig::default().with_workers(1),
     );
@@ -234,7 +247,7 @@ fn declared_backend_shape_rejects_malformed_requests_upfront() {
 #[test]
 fn generous_deadline_is_served() {
     let model = small_bioformer(22);
-    let engine = AsyncEngine::with_config(
+    let engine = single(
         Box::new(model),
         AsyncEngineConfig::default().with_workers(1),
     );
@@ -250,7 +263,7 @@ fn generous_deadline_is_served() {
 #[test]
 fn bounded_queue_pushes_back_when_full() {
     let (backend, started, release, _seen) = GatedBackend::new(4);
-    let engine = AsyncEngine::with_config(
+    let engine = single(
         Box::new(backend),
         AsyncEngineConfig::default()
             .with_workers(1)
@@ -262,7 +275,7 @@ fn bounded_queue_pushes_back_when_full() {
     let r0 = engine.submit(Tensor::zeros(&[1, 2, 5])).unwrap();
     assert_eq!(started.recv().unwrap(), 1);
     let r1 = engine.submit(Tensor::zeros(&[1, 2, 5])).unwrap();
-    assert_eq!(engine.queue_depth(), 1);
+    assert_eq!(queue_depth(&engine), 1);
     assert_eq!(
         engine.try_submit(Tensor::zeros(&[1, 2, 5])).unwrap_err(),
         ServeError::QueueFull
@@ -281,7 +294,7 @@ fn bounded_queue_pushes_back_when_full() {
 #[test]
 fn shutdown_drains_inflight_requests() {
     let model = small_bioformer(23);
-    let engine = AsyncEngine::with_config(
+    let engine = single(
         Box::new(model),
         AsyncEngineConfig::default()
             .with_workers(1)
@@ -304,9 +317,9 @@ fn shutdown_drains_inflight_requests() {
     assert_eq!(stats.expired, 0);
 }
 
-/// The tentpole acceptance path, async edition: train → quantize → serve
-/// the same windows through fp32 and int8 `AsyncEngine`s from concurrent
-/// clients, and require the precisions to track each other.
+/// The tentpole acceptance path, worker-pool edition: train → quantize →
+/// serve the same windows through fp32 and int8 worker-pool replicas from
+/// concurrent clients, and require the precisions to track each other.
 #[test]
 fn fp32_and_int8_agree_through_async_engines() {
     let db = NinaproDb6::generate(&DatasetSpec::tiny());
@@ -338,10 +351,10 @@ fn fp32_and_int8_agree_through_async_engines() {
         .with_workers(1)
         .with_micro_batch(8)
         .with_linger(Duration::from_millis(1));
-    let fp32 = Arc::new(AsyncEngine::with_config(Box::new(model), async_cfg.clone()));
-    let int8 = Arc::new(AsyncEngine::with_config(Box::new(qmodel), async_cfg));
+    let fp32 = Arc::new(single(Box::new(model), async_cfg.clone()));
+    let int8 = Arc::new(single(Box::new(qmodel), async_cfg));
 
-    let collect = |engine: &Arc<AsyncEngine>| -> Vec<usize> {
+    let collect = |engine: &Arc<ShardedEngine>| -> Vec<usize> {
         let preds: Vec<(usize, usize)> = std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for i in 0..n {

@@ -1,7 +1,8 @@
-//! The unified `Engine` trait: all three serving engines —
-//! `InferenceEngine`, `AsyncEngine`, `ShardedEngine` — driven through
-//! `&dyn Engine` by one shared test body, with bit-identical logits, one
-//! shared error surface, unified stats and draining shutdown.
+//! The `Engine` trait over the three engine topologies — one inline
+//! replica (`workers: 0`), one replica with a worker, and a two-replica
+//! pool — driven through `&dyn Engine` by one shared test body, with
+//! bit-identical logits, one shared error surface, one stats model and
+//! draining shutdown.
 
 use bioformers::core::{Bioformer, BioformerConfig};
 use bioformers::semg::{CHANNELS, WINDOW};
@@ -34,21 +35,34 @@ fn windows(n: usize, seed: u64) -> Tensor {
     })
 }
 
-/// One shared model instance behind all three engine topologies.
-fn engines(model: &Arc<Bioformer>) -> Vec<Box<dyn Engine>> {
-    vec![
-        Box::new(InferenceEngine::new(Box::new(Arc::clone(model))).with_micro_batch(4)),
-        Box::new(AsyncEngine::with_config(
-            Box::new(Arc::clone(model)),
-            AsyncEngineConfig::default()
-                .with_workers(1)
-                .with_micro_batch(4)
-                .with_linger(Duration::ZERO),
-        )),
+/// One shared model instance behind all three engine topologies, each
+/// with its replica count.
+fn engines(model: &Arc<Bioformer>) -> Vec<(&'static str, usize, Box<dyn Engine>)> {
+    let single = |workers: usize| -> Box<dyn Engine> {
         Box::new(
             ShardedEngine::builder()
+                .with_replica_config(
+                    AsyncEngineConfig::default()
+                        .with_workers(workers)
+                        .with_micro_batch(4)
+                        .with_linger(Duration::ZERO),
+                )
                 .add_replica(Box::new(Arc::clone(model)))
                 .build(),
+        )
+    };
+    vec![
+        ("inline", 1, single(0)),
+        ("one worker", 1, single(1)),
+        (
+            "two replicas",
+            2,
+            Box::new(
+                ShardedEngine::builder()
+                    .add_replica(Box::new(Arc::clone(model)))
+                    .add_replica(Box::new(Arc::clone(model)))
+                    .build(),
+            ),
         ),
     ]
 }
@@ -62,25 +76,21 @@ fn all_three_engines_serve_identically_through_dyn_engine() {
     let w = windows(5, 7);
     let direct = model.predict_batch(&w);
     let engine_list = engines(&model);
-    assert_eq!(
-        engine_list.iter().map(|e| e.kind()).collect::<Vec<_>>(),
-        vec!["inference", "async", "sharded"]
-    );
 
-    for engine in &engine_list {
+    for (kind, replicas, engine) in &engine_list {
         let engine: &dyn Engine = engine.as_ref();
-        assert_eq!(engine.num_classes(), 8, "{}", engine.kind());
+        assert_eq!(engine.kind(), "sharded", "{kind}");
+        assert_eq!(engine.num_classes(), 8, "{kind}");
+        assert_eq!(engine.input_shape(), Some((CHANNELS, WINDOW)), "{kind}");
         assert_eq!(
-            engine.input_shape(),
-            Some((CHANNELS, WINDOW)),
-            "{}",
-            engine.kind()
+            engine.backends(),
+            vec!["bioformer-fp32".to_string(); *replicas],
+            "{kind}"
         );
-        assert_eq!(engine.backends(), vec!["bioformer-fp32".to_string()]);
 
         // classify: logits bit-match the direct forward.
         let out = engine.classify(w.clone()).unwrap();
-        assert_eq!(out.logits.data(), direct.data(), "{}", engine.kind());
+        assert_eq!(out.logits.data(), direct.data(), "{kind}");
         assert_eq!(out.predictions, direct.argmax_rows());
 
         // submit → wait.
@@ -110,28 +120,24 @@ fn all_three_engines_serve_identically_through_dyn_engine() {
         // every engine — no panicking entry points.
         for bad in [Tensor::zeros(&[2, 2]), Tensor::zeros(&[1, 3, 7])] {
             let err = engine.classify(bad).unwrap_err();
-            assert!(
-                matches!(err, ServeError::BadRequest(_)),
-                "{}: {err:?}",
-                engine.kind()
-            );
+            assert!(matches!(err, ServeError::BadRequest(_)), "{kind}: {err:?}");
         }
     }
 
-    // Unified stats + shutdown: every engine served the same traffic.
-    for engine in engine_list {
-        let kind = engine.kind();
-        // The concurrent engines deliver responses from inside the batch,
-        // before the worker flushes its counters — poll the live snapshot
-        // until the accounting lands (bounded).
+    // One stats model + shutdown: every topology served the same traffic.
+    for (kind, replicas, engine) in engine_list {
+        // Worker replicas deliver responses from inside the batch, before
+        // the worker flushes its counters — poll the live snapshot until
+        // the accounting lands (bounded).
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while engine.engine_stats().requests < 5 && std::time::Instant::now() < deadline {
             std::thread::yield_now();
         }
         let live = engine.engine_stats();
-        assert_eq!(live.engine, kind);
+        assert_eq!(live.per_replica.len(), replicas, "{kind}");
         assert_eq!(live.requests, 5, "{kind}: 5 well-formed requests");
         assert_eq!(live.windows, 20, "{kind}: 4 × 5 windows");
+        assert!(live.rollup_consistent(), "{kind}: {live:?}");
         let final_stats = engine.shutdown();
         assert_eq!(final_stats.requests, 5, "{kind}");
         assert_eq!(final_stats.windows, 20, "{kind}");
@@ -159,27 +165,12 @@ fn generic_caller_is_topology_agnostic() {
     let model = Arc::new(small_bioformer(82));
     let batches: Vec<Tensor> = (0..3).map(|i| windows(2, 100 + i)).collect();
     let mut all: Vec<Vec<usize>> = Vec::new();
-    for engine in engines(&model) {
+    for (_, _, engine) in engines(&model) {
         all.push(serve_all(engine.as_ref(), &batches));
         let stats = engine.shutdown();
         assert_eq!(stats.requests, 3);
         assert_eq!(stats.windows, 6);
     }
-    assert_eq!(all[0], all[1], "async differs from inference");
-    assert_eq!(all[0], all[2], "sharded differs from inference");
-}
-
-/// `serve_checked` answers with the same logits the `Engine` path
-/// produces (the direct entry point and the trait share one batching
-/// pipeline).
-#[test]
-fn serve_checked_matches_engine_path() {
-    let model = Arc::new(small_bioformer(83));
-    let engine = InferenceEngine::new(Box::new(Arc::clone(&model))).with_micro_batch(4);
-    let w = windows(3, 9);
-    let via_trait = Engine::classify(&engine, w.clone()).unwrap();
-    let via_direct = engine.serve_checked(&w).unwrap();
-    assert_eq!(via_direct.logits.data(), via_trait.logits.data());
-    assert_eq!(via_direct.predictions, via_trait.predictions);
-    assert_eq!(engine.stats().requests, 2);
+    assert_eq!(all[0], all[1], "one worker differs from inline");
+    assert_eq!(all[0], all[2], "two replicas differ from inline");
 }

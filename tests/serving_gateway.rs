@@ -16,9 +16,9 @@ use bioformers::serve::proto::{
     encode_frame, ErrorCode, Frame, FrameDecoder, ProtoError, MAX_FRAME,
 };
 use bioformers::serve::{
-    DecisionPolicy, Engine, GatewayClient, GatewayError, GestureClassifier, GestureEvent,
-    InferenceEngine, StreamConfig, StreamServer, StreamServerConfig, StreamSession, StreamSummary,
-    TcpGateway,
+    AsyncEngineConfig, DecisionPolicy, Engine, GatewayClient, GatewayError, GestureClassifier,
+    GestureEvent, ShardedEngine, StreamConfig, StreamServer, StreamServerConfig, StreamSession,
+    StreamSummary, TcpGateway,
 };
 use bioformers::tensor::Tensor;
 use proptest::prelude::*;
@@ -313,8 +313,18 @@ fn stream_cfg() -> StreamConfig {
         })
 }
 
+/// An inline replica over the mock backend.
+fn mock_engine() -> Arc<dyn Engine> {
+    Arc::new(
+        ShardedEngine::builder()
+            .with_replica_config(AsyncEngineConfig::default().with_workers(0))
+            .add_replica(Box::new(MockBackend))
+            .build(),
+    )
+}
+
 fn gateway(cfg: StreamServerConfig) -> (Arc<StreamServer>, TcpGateway) {
-    let engine: Arc<dyn Engine> = Arc::new(InferenceEngine::new(Box::new(MockBackend)));
+    let engine = mock_engine();
     let server = Arc::new(StreamServer::start(engine, cfg).expect("server"));
     let gw = TcpGateway::bind(Arc::clone(&server), "127.0.0.1:0").expect("bind loopback");
     (server, gw)
@@ -322,8 +332,7 @@ fn gateway(cfg: StreamServerConfig) -> (Arc<StreamServer>, TcpGateway) {
 
 /// The uninterrupted in-process reference for `stream`.
 fn reference(stream: &[f32]) -> StreamSummary {
-    let engine: Arc<dyn Engine> = Arc::new(InferenceEngine::new(Box::new(MockBackend)));
-    let mut session = StreamSession::new(engine, stream_cfg()).expect("reference session");
+    let mut session = StreamSession::new(mock_engine(), stream_cfg()).expect("reference session");
     let mut events = Vec::new();
     for chunk in stream.chunks(CHUNK) {
         events.extend(session.push_samples(chunk).expect("reference push"));

@@ -9,7 +9,7 @@
 //! bit-equivalence of the underlying sessions by `tests/serving_stream.rs`.
 
 use bioformers::serve::{
-    DecisionPolicy, Engine, GestureClassifier, GestureEvent, InferenceEngine, LatencyBudget,
+    AsyncEngineConfig, DecisionPolicy, Engine, GestureClassifier, GestureEvent, LatencyBudget,
     ModelZoo, ServeError, SessionHandle, SessionOptions, ShardedEngine, StreamConfig, StreamServer,
     StreamServerConfig, StreamSession, StreamSummary,
 };
@@ -78,8 +78,14 @@ fn stream_cfg() -> StreamConfig {
         })
 }
 
+/// An inline replica over the mock backend.
 fn mock_engine() -> Arc<dyn Engine> {
-    Arc::new(InferenceEngine::new(Box::new(MockBackend)))
+    Arc::new(
+        ShardedEngine::builder()
+            .with_replica_config(AsyncEngineConfig::default().with_workers(0))
+            .add_replica(Box::new(MockBackend))
+            .build(),
+    )
 }
 
 /// The uninterrupted single-session reference for `stream`.
@@ -322,7 +328,7 @@ fn idle_eviction_then_resume_keeps_the_event_timeline_intact() {
 /// Satellite: per-session totals sum into per-tenant counters, which sum
 /// into the pool totals — mirroring `tests/serving_sharded.rs`'s
 /// per-replica invariant one layer up (and re-checking that invariant via
-/// the new `PoolStats::rollup_consistent`).
+/// `EngineStats::rollup_consistent`).
 #[test]
 fn per_tenant_stats_roll_up_into_pool_totals() {
     let server = StreamServer::start(
@@ -405,8 +411,7 @@ fn per_tenant_stats_roll_up_into_pool_totals() {
     assert_eq!(stats.totals.finished, 3);
     assert_eq!(stats.totals.reconnects, 1);
 
-    // The same invariant one layer down: the sharded pool's per-replica
-    // rollup, via the helper this PR adds.
+    // The same invariant one layer down: the engine's per-replica rollup.
     let pool = ShardedEngine::builder()
         .add_replica(Box::new(MockBackend))
         .add_replica(Box::new(MockBackend))

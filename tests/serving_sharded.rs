@@ -88,7 +88,7 @@ fn heterogeneous_fp32_int8_pool_serves_with_stats_summing_to_totals() {
     // Round-robin over two healthy replicas: both must have taken traffic.
     for rs in &stats.per_replica {
         assert!(
-            rs.stats.requests > 0,
+            rs.requests > 0,
             "replica {} ({}) served nothing",
             rs.replica,
             rs.backend
@@ -96,8 +96,8 @@ fn heterogeneous_fp32_int8_pool_serves_with_stats_summing_to_totals() {
         assert!(!rs.quarantined);
     }
     // Every pool total is the sum of its per-replica counters.
-    let sum = |f: fn(&bioformers::serve::AsyncStats) -> usize| -> usize {
-        stats.per_replica.iter().map(|r| f(&r.stats)).sum()
+    let sum = |f: fn(&bioformers::serve::ReplicaStats) -> usize| -> usize {
+        stats.per_replica.iter().map(f).sum()
     };
     assert_eq!(stats.requests, sum(|s| s.requests));
     assert_eq!(stats.windows, sum(|s| s.windows));
@@ -227,7 +227,7 @@ fn panicking_replica_is_quarantined_and_traffic_rerouted() {
         "exploding replica quarantined"
     );
     assert!(!stats.per_replica[1].quarantined);
-    assert_eq!(stats.per_replica[1].stats.requests, REQUESTS);
+    assert_eq!(stats.per_replica[1].requests, REQUESTS);
     assert_eq!(good_calls.load(Ordering::Relaxed), REQUESTS);
 }
 
@@ -305,7 +305,7 @@ fn transiently_failing_replica_rejoins_after_canary_probe() {
         let replica = &pool.stats().per_replica[0];
         // Rejoined = flag lifted AND the replica served something (the
         // canary at minimum; client traffic follows via round-robin).
-        if !replica.quarantined && replica.stats.requests > 0 {
+        if !replica.quarantined && replica.requests > 0 {
             rejoined = true;
             break;
         }

@@ -13,8 +13,8 @@ use bioformers::semg::windowing::extract_all_into;
 use bioformers::semg::{DatasetSpec, NinaproDb6, Normalizer, CHANNELS, WINDOW};
 use bioformers::serve::stream::confidence;
 use bioformers::serve::{
-    AsyncEngine, AsyncEngineConfig, DecisionPolicy, DecisionSmoother, Engine, GestureClassifier,
-    InferenceEngine, ShardedEngine, StreamConfig, StreamSession,
+    AsyncEngineConfig, DecisionPolicy, DecisionSmoother, Engine, GestureClassifier, ShardedEngine,
+    StreamConfig, StreamSession,
 };
 use bioformers::tensor::Tensor;
 use proptest::prelude::*;
@@ -32,6 +32,19 @@ fn tiny_config(seed: u64) -> BioformerConfig {
         seed,
         ..BioformerConfig::bio1()
     }
+}
+
+/// One engine replica over `backend` configured by `cfg`.
+fn replica(backend: Box<dyn GestureClassifier>, cfg: AsyncEngineConfig) -> ShardedEngine {
+    ShardedEngine::builder()
+        .with_replica_config(cfg)
+        .add_replica(backend)
+        .build()
+}
+
+/// An inline replica: every window is classified on the pushing thread.
+fn inline(backend: Box<dyn GestureClassifier>) -> ShardedEngine {
+    replica(backend, AsyncEngineConfig::default().with_workers(0))
 }
 
 /// The fp32 model and its int8 conversion, as shareable backends.
@@ -174,8 +187,7 @@ proptest! {
         let backends: [Arc<dyn GestureClassifier>; 2] = [fp32, int8];
         for backend in backends {
             let (preds, confs) = offline_path(backend.as_ref(), &signal, slide, &test_normalizer());
-            let engine: Arc<dyn Engine> =
-                Arc::new(InferenceEngine::new(Box::new(Arc::clone(&backend))));
+            let engine: Arc<dyn Engine> = Arc::new(inline(Box::new(Arc::clone(&backend))));
             let summary = stream_path(engine, &signal, slide, chunk, lookahead, policy.clone());
             prop_assert_eq!(&summary.predictions, &preds, "{} predictions", backend.name());
             prop_assert_eq!(&summary.confidences, &confs, "{} confidences", backend.name());
@@ -192,7 +204,7 @@ proptest! {
 /// The acceptance-criterion test: a streamed Ninapro DB6 session —
 /// continuous signal, odd chunk sizes that split frames across pushes —
 /// bit-matches the offline windowed `predict_batch` path for the fp32 and
-/// the int8 backend, through both the inline and the concurrent engine.
+/// the int8 backend, through both an inline and a worker-pool replica.
 #[test]
 fn streamed_db6_session_bit_matches_offline_batch_path_fp32_and_int8() {
     let db = NinaproDb6::generate(&DatasetSpec::tiny());
@@ -239,7 +251,7 @@ fn streamed_db6_session_bit_matches_offline_batch_path_fp32_and_int8() {
 
         // 997 samples per push: frames split across pushes, windows split
         // across chunks — the stream never sees clean edges.
-        let inline = Arc::new(InferenceEngine::new(Box::new(Arc::clone(&backend))));
+        let inline = Arc::new(inline(Box::new(Arc::clone(&backend))));
         let summary = stream_path(
             Arc::clone(&inline) as Arc<dyn Engine>,
             &signal,
@@ -251,7 +263,7 @@ fn streamed_db6_session_bit_matches_offline_batch_path_fp32_and_int8() {
         let inline = Arc::try_unwrap(inline).unwrap_or_else(|_| panic!("engine released"));
         verify(&summary, &Engine::shutdown(Box::new(inline)), "inline");
 
-        let pipelined = Arc::new(AsyncEngine::with_config(
+        let pipelined = Arc::new(replica(
             Box::new(Arc::clone(&backend)),
             AsyncEngineConfig::default()
                 .with_workers(2)
@@ -267,7 +279,11 @@ fn streamed_db6_session_bit_matches_offline_batch_path_fp32_and_int8() {
             policy.clone(),
         );
         let pipelined = Arc::try_unwrap(pipelined).unwrap_or_else(|_| panic!("engine released"));
-        verify(&summary, &Engine::shutdown(Box::new(pipelined)), "async");
+        verify(
+            &summary,
+            &Engine::shutdown(Box::new(pipelined)),
+            "worker pool",
+        );
     }
 }
 
@@ -341,7 +357,7 @@ impl GestureClassifier for FlakyBackend {
 /// the same resilience the batch `classify` path gets from re-routing.
 #[test]
 fn stream_retries_transiently_cancelled_windows() {
-    let engine: Arc<dyn Engine> = Arc::new(AsyncEngine::with_config(
+    let engine: Arc<dyn Engine> = Arc::new(replica(
         Box::new(FlakyBackend {
             failures_left: std::sync::atomic::AtomicUsize::new(1),
         }),
@@ -364,7 +380,7 @@ fn stream_retries_transiently_cancelled_windows() {
     assert_eq!(summary.predictions, vec![7; 4]);
 
     // With no retry budget the same fault kills the session.
-    let engine: Arc<dyn Engine> = Arc::new(AsyncEngine::with_config(
+    let engine: Arc<dyn Engine> = Arc::new(replica(
         Box::new(FlakyBackend {
             failures_left: std::sync::atomic::AtomicUsize::new(1),
         }),
@@ -388,7 +404,7 @@ fn stream_retries_transiently_cancelled_windows() {
 #[test]
 fn stream_session_validates_config_against_engine() {
     let (fp32, _) = backends(61);
-    let engine: Arc<dyn Engine> = Arc::new(InferenceEngine::new(Box::new(Arc::clone(&fp32))));
+    let engine: Arc<dyn Engine> = Arc::new(inline(Box::new(Arc::clone(&fp32))));
     // Wrong channel count vs the engine's declared [14, 300].
     let bad_shape = StreamConfig::new(8, WINDOW);
     assert!(StreamSession::new(Arc::clone(&engine), bad_shape).is_err());

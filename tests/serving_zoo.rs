@@ -21,8 +21,8 @@ use bioformers::semg::{
     CalibrationConfig, DatasetSpec, NinaproDb6, Normalizer, SessionCalibrator, CHANNELS, WINDOW,
 };
 use bioformers::serve::{
-    DecisionPolicy, Engine, GestureClassifier, InferenceEngine, ModelZoo, PromotionPolicy,
-    RouteMode, ShadowEngine, StreamConfig, StreamSession, StreamSummary,
+    AsyncEngineConfig, DecisionPolicy, Engine, GestureClassifier, ModelZoo, PromotionPolicy,
+    RouteMode, ShadowEngine, ShardedEngine, StreamConfig, StreamSession, StreamSummary,
 };
 use bioformers::tensor::Tensor;
 use proptest::prelude::*;
@@ -68,8 +68,14 @@ impl GestureClassifier for MockBackend {
     }
 }
 
+/// An inline replica over the mock backend.
 fn mock_engine(scale: f32) -> Arc<dyn Engine> {
-    Arc::new(InferenceEngine::new(Box::new(MockBackend { scale })))
+    Arc::new(
+        ShardedEngine::builder()
+            .with_replica_config(AsyncEngineConfig::default().with_workers(0))
+            .add_replica(Box::new(MockBackend { scale }))
+            .build(),
+    )
 }
 
 /// Deterministic pseudo-random interleaved stream of `windows` windows.
