@@ -51,7 +51,7 @@ use bioformer_tensor::backend::{ComputeBackend, PackedCpuBackend};
 use bioformer_tensor::matmul::{matmul_naive, matmul_nt_naive};
 use bioformer_tensor::pack::{gemm_packed_with, Epilogue, PackedB};
 use bioformer_tensor::tune::{tune, GemmShape};
-use bioformer_tensor::{parallel, Tensor, TensorArena};
+use bioformer_tensor::{Tensor, TensorArena};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -74,7 +74,6 @@ fn windows(batch: usize, seed: u64) -> Tensor {
 /// output projection (k=256, n=64) and the FFN (n=128), plus the batch-32
 /// projection GEMM (m=1024 rows).
 fn bench_gemm(c: &mut Criterion) {
-    parallel::set_max_threads(1);
     let mut g = c.benchmark_group("gemm");
     for (label, m, k, n) in [
         ("qkv_32x64x256", 32usize, 64usize, 256usize),
@@ -119,7 +118,6 @@ fn bench_gemm(c: &mut Criterion) {
         });
     }
     g.finish();
-    parallel::set_max_threads(0);
 }
 
 /// Deterministic pseudo-random int8 codes.
@@ -139,7 +137,6 @@ fn qcodes(len: usize, seed: u64) -> Vec<i8> {
 /// the q/k/v projections, output projection and FFN (as in `bench_gemm`),
 /// plus the im2col-lowered patch convolution (`m=64, k=14·10, n=30`).
 fn bench_qgemm(c: &mut Criterion) {
-    parallel::set_max_threads(1);
     let mut g = c.benchmark_group("qgemm");
     for (label, m, k, n) in [
         ("qkv_32x64x256", 32usize, 64usize, 256usize),
@@ -177,11 +174,9 @@ fn bench_qgemm(c: &mut Criterion) {
         });
     }
     g.finish();
-    parallel::set_max_threads(0);
 }
 
 fn bench_fp32(c: &mut Criterion) {
-    parallel::set_max_threads(1);
     let mut g = c.benchmark_group("fp32_inference");
     let bio1 = Bioformer::new(&BioformerConfig::bio1());
     let mut arena = TensorArena::new();
@@ -217,11 +212,9 @@ fn bench_fp32(c: &mut Criterion) {
         b.iter(|| black_box(tempo.forward(black_box(&x1), false)))
     });
     g.finish();
-    parallel::set_max_threads(0);
 }
 
 fn bench_int8(c: &mut Criterion) {
-    parallel::set_max_threads(1);
     let mut g = c.benchmark_group("int8_inference");
     let cfg = BioformerConfig::bio1();
     let mut model = Bioformer::new(&cfg);
@@ -245,7 +238,6 @@ fn bench_int8(c: &mut Criterion) {
         });
     }
     g.finish();
-    parallel::set_max_threads(0);
 }
 
 /// The autotuner's payoff, measured directly: each bio1 fp32 GEMM shape
@@ -255,7 +247,6 @@ fn bench_int8(c: &mut Criterion) {
 /// two sides time identically — the pairs then double as a
 /// seam-overhead check.
 fn bench_tuned_vs_fixed(c: &mut Criterion) {
-    parallel::set_max_threads(1);
     let mut g = c.benchmark_group("tuned-vs-fixed");
     let shapes = [
         ("qkv_32x64x256", 32usize, 64usize, 256usize),
@@ -307,7 +298,6 @@ fn bench_tuned_vs_fixed(c: &mut Criterion) {
         }
     }
     g.finish();
-    parallel::set_max_threads(0);
 }
 
 criterion_group!(

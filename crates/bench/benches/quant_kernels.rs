@@ -4,7 +4,7 @@
 use bioformer_quant::ibert::{IGelu, ILayerNorm, ISoftmax};
 use bioformer_quant::kernels::qgemm_i32;
 use bioformer_quant::qtensor::QParams;
-use bioformer_tensor::{parallel, Tensor};
+use bioformer_tensor::Tensor;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -21,7 +21,6 @@ fn ti8(n: usize, seed: u64) -> Vec<i8> {
 }
 
 fn bench_qgemm(c: &mut Criterion) {
-    parallel::set_max_threads(1);
     let mut g = c.benchmark_group("int8_gemm");
     let a = ti8(31 * 64, 1);
     let b = ti8(256 * 64, 2);

@@ -32,7 +32,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod calibrate;
 pub mod dataset;
 pub mod gestures;
 pub mod ninapro;
@@ -42,7 +41,6 @@ pub mod spec;
 pub mod subject;
 pub mod windowing;
 
-pub use calibrate::{CalibrationConfig, SessionCalibrator};
 pub use dataset::{Normalizer, SemgDataset};
 pub use gestures::Gesture;
 pub use ninapro::NinaproDb6;

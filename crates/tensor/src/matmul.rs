@@ -258,29 +258,20 @@ pub const fn gemm_work(m: usize, n: usize, k: usize) -> usize {
 }
 
 /// Number of worker threads worth using for a kernel of the given `work`
-/// estimate, measured in **FLOPs** (see [`gemm_work`]).
+/// estimate, measured in **FLOPs** (see [`gemm_work`]), with at most `max`
+/// threads available.
 ///
-/// * below [`crate::parallel::PARALLEL_WORK_THRESHOLD`] (2²⁶ FLOPs) — or on
-///   a single-core machine — the answer is 1 (run on the caller's thread);
+/// * below [`crate::parallel::PARALLEL_WORK_THRESHOLD`] (2²⁶ FLOPs) — or
+///   with `max <= 1` — the answer is 1 (run on the caller's thread);
 /// * above it, one thread per 2²⁴ FLOPs (16 MFLOP, ≈8 M multiply–adds), so
 ///   every spawned thread amortises its ~0.25 ms start-up cost, clamped to
-///   `[2, max_threads]`.
+///   `[2, max]`.
 ///
 /// Note the asymmetry: crossing the threshold jumps straight to
 /// `2²⁶ ⁻ ²⁴ = 4` threads (not 2) because the threshold is deliberately set
 /// where fan-out is already clearly profitable.
-///
-/// Sub-threshold work returns before the process-global thread cap is
-/// read, so small kernels (every bio1 inference GEMM) never touch it: they
-/// cannot observe a concurrent [`crate::parallel::set_max_threads`], and
-/// they never trigger the one-time, allocating
-/// [`crate::parallel::hardware_threads`] probe from inside a forward.
-pub fn plan_threads(work: usize) -> usize {
-    if work < crate::parallel::PARALLEL_WORK_THRESHOLD {
-        return 1;
-    }
-    let max = crate::parallel::max_threads();
-    if max <= 1 {
+pub fn plan_threads(work: usize, max: usize) -> usize {
+    if work < crate::parallel::PARALLEL_WORK_THRESHOLD || max <= 1 {
         1
     } else {
         (work >> 24).clamp(2, max)
@@ -317,7 +308,14 @@ pub(crate) fn parallel_over_rows<F>(out: &mut [f32], rows: usize, cols: usize, w
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
-    let threads = plan_threads(work);
+    // Sub-threshold work (every bio1 inference GEMM) is planned without
+    // reading the machine's parallelism, so a forward never triggers the
+    // one-time, allocating `hardware_threads` probe.
+    let threads = if work < crate::parallel::PARALLEL_WORK_THRESHOLD {
+        1
+    } else {
+        plan_threads(work, crate::parallel::max_threads())
+    };
     if threads <= 1 {
         body(0, out);
         return;
@@ -367,15 +365,30 @@ mod tests {
 
     /// Regression: a GEMM large enough to cross the parallel threshold must
     /// not panic when only one worker thread is available (single-core
-    /// machines, or benchmarks forcing a serial baseline). `plan_threads`
-    /// used to call `clamp(2, 1)` here.
+    /// machines). `plan_threads` used to call `clamp(2, 1)` here. A
+    /// one-thread plan runs the whole product on the caller's thread.
     #[test]
     fn above_threshold_gemm_works_single_threaded() {
-        let _guard = crate::parallel::override_guard(1);
         let n = 330; // 2·n³ > PARALLEL_WORK_THRESHOLD
+        let work = gemm_work(n, n, n);
+        assert!(work >= crate::parallel::PARALLEL_WORK_THRESHOLD);
+        assert_eq!(plan_threads(work, 1), 1);
+        assert_eq!(plan_threads(usize::MAX, 1), 1);
         let a = Tensor::from_fn(&[n, n], |i| (i % 7) as f32 - 3.0);
-        let c = matmul(&a, &Tensor::eye(n));
-        assert!(c.allclose(&a, 0.0));
+        let mut packed = vec![0.0f32; pack::packed_len(n, n)];
+        pack::pack_b(Tensor::eye(n).data(), n, n, &mut packed);
+        let mut out = vec![0.0f32; n * n];
+        pack::gemm_rows(
+            bioformer_simd::kernels().fp32_tile,
+            a.data(),
+            n,
+            n,
+            &packed,
+            n,
+            &mut out,
+            &Epilogue::None,
+        );
+        assert_eq!(out, a.data());
     }
 
     /// Pins `plan_threads` at the threshold boundaries so the planner's
@@ -384,31 +397,27 @@ mod tests {
     #[test]
     fn plan_threads_boundaries() {
         use crate::parallel::PARALLEL_WORK_THRESHOLD as T;
-        let _guard = crate::parallel::override_guard(16);
         // Below the threshold: always serial.
-        assert_eq!(plan_threads(0), 1);
-        assert_eq!(plan_threads(T - 1), 1);
+        assert_eq!(plan_threads(0, 16), 1);
+        assert_eq!(plan_threads(T - 1, 16), 1);
         // At the threshold: 2^26 FLOPs / 2^24 per thread = 4 threads.
-        assert_eq!(plan_threads(T), 4);
+        assert_eq!(plan_threads(T, 16), 4);
         // One thread per 16 MFLOP past it…
-        assert_eq!(plan_threads(1 << 28), 16);
-        // …clamped to the machine/override cap.
-        assert_eq!(plan_threads(1 << 29), 16);
-        assert_eq!(plan_threads(usize::MAX), 16);
-        drop(_guard);
+        assert_eq!(plan_threads(1 << 28, 16), 16);
+        // …clamped to the cap.
+        assert_eq!(plan_threads(1 << 29, 16), 16);
+        assert_eq!(plan_threads(usize::MAX, 16), 16);
         // Single-core machines never fan out, whatever the work.
-        let _guard = crate::parallel::override_guard(1);
-        assert_eq!(plan_threads(usize::MAX), 1);
+        assert_eq!(plan_threads(usize::MAX, 1), 1);
     }
 
     /// The planner units are pinned to [`gemm_work`]: a bio1-block-sized
     /// GEMM stays serial, a clearly-huge one fans out.
     #[test]
     fn gemm_work_units_drive_the_planner() {
-        let _guard = crate::parallel::override_guard(16);
         assert_eq!(gemm_work(32, 256, 64), 2 * 32 * 256 * 64);
-        assert_eq!(plan_threads(gemm_work(32, 256, 64)), 1); // 1 MFLOP: serial
-        assert_eq!(plan_threads(gemm_work(512, 512, 512)), 16); // 268 MFLOP
+        assert_eq!(plan_threads(gemm_work(32, 256, 64), 16), 1); // 1 MFLOP: serial
+        assert_eq!(plan_threads(gemm_work(512, 512, 512), 16), 16); // 268 MFLOP
     }
 
     fn naive(a: &Tensor, b: &Tensor) -> Tensor {

@@ -285,7 +285,7 @@ fn microkernel(
 /// `i` in `0..m`, with `a` holding exactly those `m` rows and `out` the
 /// matching `m × n` destination slice (`ldc == n`).
 #[allow(clippy::too_many_arguments)] // hot-loop driver, mirrors gemm_packed_with
-fn gemm_rows(
+pub(crate) fn gemm_rows(
     tile: bioformer_simd::Fp32TileFn,
     a: &[f32],
     m: usize,
@@ -764,21 +764,34 @@ mod tests {
         assert_eq!(p1, p2);
     }
 
+    /// A GEMM above the parallel threshold fans out over row blocks and
+    /// must match, bit for bit, the same product computed block by block
+    /// with every block below the threshold (serial).
     #[test]
     fn threaded_rows_match_serial() {
-        let _guard = crate::parallel::override_guard(4);
-        // Big enough to clear PARALLEL_WORK_THRESHOLD (2·m·n·k ≥ 2^26).
-        let (m, k, n) = (256, 256, 256);
+        use crate::matmul::{gemm_work, plan_threads};
+        use crate::parallel::{hardware_threads, max_threads, PARALLEL_WORK_THRESHOLD};
+        let (m, k, n) = (512, 256, 256);
+        let work = gemm_work(m, n, k);
+        assert!(work >= PARALLEL_WORK_THRESHOLD);
+        if hardware_threads() >= 2 {
+            assert!(plan_threads(work, max_threads()) > 1);
+        }
         let a = filled(m * k, 12);
         let b = filled(k * n, 13);
         let mut packed = vec![0.0f32; packed_len(k, n)];
         pack_b(&b, k, n, &mut packed);
         let mut threaded = vec![0.0f32; m * n];
         gemm_packed(&a, m, k, &packed, n, &mut threaded, Epilogue::None);
-        drop(_guard);
-        let _guard = crate::parallel::override_guard(1);
+
+        let block = 64;
+        assert!(gemm_work(block, n, k) < PARALLEL_WORK_THRESHOLD);
         let mut serial = vec![0.0f32; m * n];
-        gemm_packed(&a, m, k, &packed, n, &mut serial, Epilogue::None);
+        for (i, out) in serial.chunks_mut(block * n).enumerate() {
+            let rows = out.len() / n;
+            let a_rows = &a[i * block * k..(i * block + rows) * k];
+            gemm_packed(a_rows, rows, k, &packed, n, out, Epilogue::None);
+        }
         assert_eq!(threaded, serial, "thread count must not change results");
     }
 }

@@ -1,6 +1,6 @@
 //! Model-zoo demo: three model variants behind one [`StreamServer`],
-//! per-session model selection, a live shadow experiment with a gated
-//! promotion, and per-session user calibration.
+//! per-session model selection, and a live shadow experiment with a gated
+//! promotion.
 //!
 //! The walk-through:
 //!
@@ -18,9 +18,6 @@
 //!    bit-exactly).
 //! 4. Gate promotion on a [`PromotionPolicy`] and flip the zoo's default
 //!    to the candidate once the evidence clears it.
-//! 5. Open a **calibrated** session: a [`SessionCalibrator`] fits a
-//!    per-channel affine transform from the session's opening windows,
-//!    then freezes it for the rest of the stream.
 //!
 //! ```text
 //! cargo run --release --example serve_zoo
@@ -30,11 +27,11 @@ use bioformers::core::protocol::{run_standard, ProtocolConfig};
 use bioformers::core::{Bioformer, BioformerConfig, WaveFormer};
 use bioformers::nn::serialize::state_dict;
 use bioformers::quant::QuantBioformer;
-use bioformers::semg::{CalibrationConfig, DatasetSpec, NinaproDb6, Normalizer, CHANNELS, WINDOW};
+use bioformers::semg::{DatasetSpec, NinaproDb6, Normalizer, CHANNELS, WINDOW};
 use bioformers::serve::{
     AsyncEngineConfig, DecisionPolicy, Engine, GestureClassifier, ModelZoo, PromotionDecision,
     PromotionPolicy, RouteMode, SessionOptions, ShardedEngine, StreamConfig, StreamServer,
-    StreamServerConfig, StreamSession,
+    StreamServerConfig,
 };
 use bioformers::tensor::Tensor;
 use std::sync::Arc;
@@ -158,10 +155,10 @@ fn main() {
             min_hold: 3,
             confidence_floor: 0.30,
         })
-        .with_normalizer(norm.clone());
+        .with_normalizer(norm);
     let server = StreamServer::start_zoo(
         Arc::clone(&zoo),
-        StreamServerConfig::new(stream_cfg.clone()).with_max_sessions(8),
+        StreamServerConfig::new(stream_cfg).with_max_sessions(8),
     )
     .expect("stream server");
     println!("server over zoo: {:?}", server);
@@ -242,41 +239,5 @@ fn main() {
         );
     }
 
-    // 5. Per-session calibration, in-process: the calibrator observes the
-    //    session's opening windows (DB6 sessions open at rest), then
-    //    freezes a per-channel affine transform for the rest of the
-    //    stream. The checkpoint carries it across reconnects.
-    let cal_cfg = stream_cfg.clone().with_calibration(CalibrationConfig {
-        warmup_windows: 20,
-        blend: 1.0,
-    });
-    let mut session = StreamSession::new(
-        engine_over(Arc::clone(&int8) as Arc<dyn GestureClassifier>),
-        cal_cfg,
-    )
-    .expect("calibrated session");
-    let stream = session_prefix(&db, 0, db.spec().sessions - 1);
-    for part in stream.chunks(burst) {
-        session.push_samples(part).expect("calibrated push");
-    }
-    let cal = session.calibrator().expect("calibration enabled");
-    println!(
-        "\ncalibrated session: {} warm-up windows observed, frozen={}",
-        cal.windows_seen(),
-        cal.is_ready()
-    );
-    let adapted = cal.adapted().expect("frozen transform").mean()[0];
-    println!(
-        "per-channel affine fitted (ch0 mean {:.4} vs frozen baseline {:.4})",
-        adapted,
-        norm.mean()[0]
-    );
-    let summary = session.finish().expect("calibrated finish");
-    println!(
-        "calibrated stream: {} windows, {} events — see tests/serving_zoo.rs \
-         for the adapted-vs-frozen DB6 accuracy benchmark",
-        summary.windows,
-        summary.events.len()
-    );
-    println!("\nmodel zoo: selection, shadow A/B, promotion, calibration ✓");
+    println!("\nmodel zoo: selection, shadow A/B, promotion ✓");
 }

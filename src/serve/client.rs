@@ -14,6 +14,7 @@
 //! [`GatewayError::Proto`] — the client never panics on hostile bytes.
 
 use super::proto::{encode_frame, ErrorCode, Frame, FrameDecoder, ProtoError};
+use super::server::SessionStats;
 use super::stream::GestureEvent;
 use super::trace::StageSummary;
 use std::io::{Read, Write};
@@ -78,24 +79,11 @@ pub struct ClientSummary {
     /// combined (no duplicates).
     pub events: Vec<GestureEvent>,
     /// The server's final per-session counters.
-    pub stats: ClientSessionStats,
+    pub stats: SessionStats,
     /// Per-stage decision-latency percentiles for this session, as
     /// reported by the server's [`Frame::Stats`] at finish (all zeros if
     /// the server predates the frame).
     pub stages: StageSummary,
-}
-
-/// The [`Frame::SessionStats`] counters, client-side.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ClientSessionStats {
-    /// Windows decided.
-    pub windows: u64,
-    /// Sample chunks absorbed.
-    pub chunks: u64,
-    /// Raw samples absorbed.
-    pub samples: u64,
-    /// Gesture events emitted.
-    pub events: u64,
 }
 
 /// One streaming session over one TCP connection to a
@@ -275,7 +263,7 @@ impl GatewayClient {
                         windows: total_windows,
                         predictions,
                         events: self.events,
-                        stats: ClientSessionStats {
+                        stats: SessionStats {
                             windows,
                             chunks,
                             samples,

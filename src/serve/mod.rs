@@ -61,7 +61,7 @@ pub mod trace;
 pub mod worker;
 pub mod zoo;
 
-pub use client::{ClientSessionStats, ClientSummary, GatewayClient, GatewayError};
+pub use client::{ClientSummary, GatewayClient, GatewayError};
 pub use engine::{Engine, EngineStats, ReplicaStats};
 pub use proto::{ErrorCode, Frame, FrameDecoder, ProtoError};
 pub use queue::{PendingResponse, RequestOutput, ServeError};

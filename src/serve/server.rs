@@ -284,7 +284,9 @@ impl SessionOptions {
     }
 }
 
-/// Per-session final counters reported by [`FinishReport`].
+/// Per-session final counters reported by [`FinishReport`] and, over the
+/// wire, by [`Frame::SessionStats`] into
+/// [`ClientSummary::stats`](super::ClientSummary::stats).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Sample chunks absorbed over the logical stream.

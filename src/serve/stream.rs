@@ -38,7 +38,7 @@ use super::engine::Engine;
 use super::queue::{RequestOutput, ServeError};
 use super::trace::{LatencyTrace, StageRecorder, StageSummary};
 use bioformer_semg::windowing::OnlineWindower;
-use bioformer_semg::{CalibrationConfig, Gesture, Normalizer, SessionCalibrator};
+use bioformer_semg::{Gesture, Normalizer};
 use bioformer_tensor::Tensor;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -416,15 +416,6 @@ pub struct StreamConfig {
     /// Per-channel normalization applied to each extracted window
     /// (training-time statistics). `None` streams raw windows.
     pub normalizer: Option<Normalizer>,
-    /// Per-session user calibration: when set, the session fits a
-    /// session-adapted affine transform from its first
-    /// [`CalibrationConfig::warmup_windows`] raw windows (DB6 sessions open
-    /// with rest repetitions, so this is classic rest-period calibration)
-    /// and uses it in place of the frozen `normalizer` from then on. The
-    /// frozen `normalizer` is the calibration baseline: it applies
-    /// unchanged during warm-up and is blended into the adapted transform
-    /// by [`CalibrationConfig::blend`].
-    pub calibration: Option<CalibrationConfig>,
 }
 
 impl StreamConfig {
@@ -439,7 +430,6 @@ impl StreamConfig {
             retries: 2,
             policy: DecisionPolicy::default(),
             normalizer: None,
-            calibration: None,
         }
     }
 
@@ -478,13 +468,6 @@ impl StreamConfig {
         self.normalizer = Some(normalizer);
         self
     }
-
-    /// Enables per-session user calibration (see
-    /// [`StreamConfig::calibration`]).
-    pub fn with_calibration(mut self, calibration: CalibrationConfig) -> Self {
-        self.calibration = Some(calibration);
-        self
-    }
 }
 
 /// The portable state of a suspended [`StreamSession`], produced by
@@ -510,10 +493,6 @@ pub struct SessionCheckpoint {
     /// attribution state — in-flight marks and undrained traces — is
     /// timing of a stream that no longer exists, and is dropped.)
     recorder: StageRecorder,
-    /// Per-session calibration state (warm-up accumulators or the frozen
-    /// adapted transform), carried across the seam: a resumed session
-    /// normalizes exactly like one that was never suspended.
-    calibrator: Option<SessionCalibrator>,
 }
 
 impl SessionCheckpoint {
@@ -540,12 +519,6 @@ impl SessionCheckpoint {
     /// The active gesture decision's class label at suspension, if any.
     pub fn current_class(&self) -> Option<usize> {
         self.smoother.current()
-    }
-
-    /// Whether the suspended stream's calibration had frozen its adapted
-    /// transform (`None` when the session ran without calibration).
-    pub fn calibration_ready(&self) -> Option<bool> {
-        self.calibrator.as_ref().map(SessionCalibrator::is_ready)
     }
 }
 
@@ -641,9 +614,6 @@ pub struct StreamSession {
     retries: usize,
     windower: OnlineWindower,
     normalizer: Option<Normalizer>,
-    /// Per-session calibration; when set it **replaces** the bare
-    /// normalizer on the window path (the normalizer is its baseline).
-    calibrator: Option<SessionCalibrator>,
     smoother: DecisionSmoother,
     /// In-flight window requests, oldest first; absorbed strictly in
     /// order so decisions are deterministic.
@@ -670,10 +640,9 @@ impl StreamSession {
     /// # Errors
     ///
     /// [`ServeError::BadRequest`] when the config is invalid (zero
-    /// channels/window/slide, bad policy, an invalid calibration config, a
-    /// normalizer whose channel count differs from the stream's) or when
-    /// the engine declares an input shape that differs from
-    /// `[channels, window]`.
+    /// channels/window/slide, bad policy, a normalizer whose channel count
+    /// differs from the stream's) or when the engine declares an input
+    /// shape that differs from `[channels, window]`.
     pub fn new(engine: Arc<dyn Engine>, cfg: StreamConfig) -> Result<Self, ServeError> {
         if cfg.channels == 0 || cfg.window == 0 || cfg.slide == 0 {
             return Err(ServeError::BadRequest(format!(
@@ -698,19 +667,6 @@ impl StreamSession {
                 )));
             }
         }
-        let calibrator = match cfg.calibration {
-            Some(cal) => {
-                cal.validate().map_err(|e| {
-                    ServeError::BadRequest(format!("invalid CalibrationConfig: {e}"))
-                })?;
-                Some(SessionCalibrator::new(
-                    cfg.channels,
-                    cfg.normalizer.clone(),
-                    cal,
-                ))
-            }
-            None => None,
-        };
         // Enough marks to attribute a `Started` event back to its earliest
         // supporting vote, whatever the vote depth.
         let mark_cap = MARK_WINDOW.max(cfg.policy.vote_depth + 1);
@@ -722,7 +678,6 @@ impl StreamSession {
             retries: cfg.retries,
             windower: OnlineWindower::new(cfg.channels, cfg.window, cfg.slide),
             normalizer: cfg.normalizer,
-            calibrator,
             smoother: DecisionSmoother::new(cfg.policy)?,
             inflight: VecDeque::new(),
             predictions: Vec::new(),
@@ -777,12 +732,6 @@ impl StreamSession {
     /// performs no heap allocations).
     pub fn stage_stats(&self) -> StageSummary {
         self.recorder.summary()
-    }
-
-    /// The per-session calibrator, when calibration is enabled — `None`
-    /// for sessions normalizing with the frozen training statistics only.
-    pub fn calibrator(&self) -> Option<&SessionCalibrator> {
-        self.calibrator.as_ref()
     }
 
     /// Moves the traces recorded since the last call into `out` (the
@@ -876,7 +825,6 @@ impl StreamSession {
                 predictions: std::mem::take(&mut self.predictions),
                 confidences: std::mem::take(&mut self.confidences),
                 recorder: self.recorder.clone(),
-                calibrator: self.calibrator.clone(),
             },
             events,
         ))
@@ -889,11 +837,9 @@ impl StreamSession {
     /// whole logical stream, pre- and post-suspension windows alike.
     ///
     /// The checkpoint overrides `cfg.policy` (the smoother resumes as
-    /// suspended) **and** `cfg.calibration` (the calibrator resumes with
-    /// its warm-up accumulators or frozen adapted transform — a reconnect
-    /// must not restart calibration), while `lookahead`, `retries` and the
-    /// normalizer are taken from `cfg` — operational knobs may change
-    /// across a reconnect, stream semantics may not.
+    /// suspended), while `lookahead`, `retries` and the normalizer are
+    /// taken from `cfg` — operational knobs may change across a reconnect,
+    /// stream semantics may not.
     ///
     /// # Errors
     ///
@@ -936,7 +882,6 @@ impl StreamSession {
         session.predictions = checkpoint.predictions;
         session.confidences = checkpoint.confidences;
         session.recorder = checkpoint.recorder;
-        session.calibrator = checkpoint.calibrator;
         Ok(session)
     }
 
@@ -950,13 +895,8 @@ impl StreamSession {
             .replace(now)
             .map(|from| now.saturating_duration_since(from))
             .unwrap_or_default();
-        match (&mut self.calibrator, &self.normalizer) {
-            // Calibration subsumes the normalizer: it observes the raw
-            // window, then applies the adapted transform (or the baseline
-            // normalizer during warm-up).
-            (Some(cal), _) => cal.normalize_window(&mut window),
-            (None, Some(norm)) => norm.apply_window(&mut window),
-            (None, None) => {}
+        if let Some(norm) = &self.normalizer {
+            norm.apply_window(&mut window);
         }
         let tensor = Tensor::from_vec(window, &[1, self.channels, self.window]);
         // Keep a retry copy only when a retry could ever use it.

@@ -37,7 +37,7 @@ use bioformer_tensor::Tensor;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How an experiment routes traffic between incumbent and candidate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,8 +82,9 @@ pub struct PromotionPolicy {
     /// (queue-full or errors) — a candidate that cannot keep up with
     /// shadow traffic cannot keep up with real traffic.
     pub max_drop_rate: f64,
-    /// How long the shadow collector waits for a candidate response before
-    /// counting it dropped (never delays the incumbent's response).
+    /// How long after the incumbent's response a shadow duplicate may take
+    /// to resolve before it counts as dropped (never delays the
+    /// incumbent's response).
     pub candidate_timeout: Duration,
 }
 
@@ -169,7 +170,7 @@ struct AbCounters {
     /// compared (Shadow only).
     resolved: u64,
     /// Duplicated requests the candidate dropped: submission failed, the
-    /// response errored, or it outwaited the collector's timeout.
+    /// response errored, or it outwaited the candidate timeout.
     dropped: u64,
     /// Windows compared prediction-by-prediction (Shadow only).
     compared_windows: u64,
@@ -228,19 +229,34 @@ impl ShadowCore {
     }
 }
 
-/// One job for the shadow collector: forward the incumbent's response
-/// untouched, then (if the duplicate was accepted) compare the candidate's.
-enum CollectorJob {
-    Compare {
-        forward: mpsc::Sender<Result<RequestOutput, ServeError>>,
-        incumbent: PendingResponse,
-        candidate: Option<PendingResponse>,
-    },
-    /// Latency-only recording for a Split-arm response.
-    RecordArm {
+/// Work for the forwarding thread, in submission order.
+enum ForwardJob {
+    /// Deliver an incumbent response the moment it resolves, then hand its
+    /// shadow duplicate (if the candidate accepted one) to the comparator.
+    Incumbent {
         forward: mpsc::Sender<Result<RequestOutput, ServeError>>,
         response: PendingResponse,
-        candidate_arm: bool,
+        duplicate: Option<PendingResponse>,
+    },
+    /// Barrier: passed on to the comparator once every job queued before it
+    /// has been forwarded.
+    Sync(mpsc::Sender<()>),
+}
+
+/// Work for the comparator thread: everything that waits on the candidate.
+enum CandidateJob {
+    /// Compare a shadow duplicate with the incumbent output it copied.
+    Compare {
+        incumbent: RequestOutput,
+        duplicate: PendingResponse,
+        /// When the incumbent resolved; the candidate's timeout runs from
+        /// here.
+        resolved_at: Instant,
+    },
+    /// Deliver a Split candidate-arm response and record its latency.
+    Serve {
+        forward: mpsc::Sender<Result<RequestOutput, ServeError>>,
+        response: PendingResponse,
     },
     /// Barrier: ack once every job queued before it has been processed.
     Sync(mpsc::Sender<()>),
@@ -253,17 +269,20 @@ enum CollectorJob {
 /// as the bare engine would, (b) fire-and-forgets a duplicate to the
 /// candidate via `try_submit` (Shadow) or routes the request to one arm
 /// (Split), and (c) hands the caller a response handle that resolves to
-/// the **incumbent's bytes, unmodified** — the collector thread forwards
-/// the incumbent's `RequestOutput` before it even looks at the candidate,
-/// so a slow or dead candidate can never distort what clients receive.
+/// the **incumbent's bytes, unmodified**. A forwarding thread delivers each
+/// incumbent response as soon as it resolves; a separate comparator thread
+/// does all waiting on the candidate, so a slow or dead candidate can never
+/// delay or distort what clients receive.
 pub struct ShadowEngine {
     incumbent: Arc<dyn Engine>,
     candidate: Arc<dyn Engine>,
     mode: RouteMode,
     core: Arc<ShadowCore>,
-    jobs: mpsc::Sender<CollectorJob>,
-    /// Joined on drop so counters are final when the engine goes away.
-    collector: Mutex<Option<std::thread::JoinHandle<()>>>,
+    forwarder: mpsc::Sender<ForwardJob>,
+    comparator: mpsc::Sender<CandidateJob>,
+    /// Forwarder, then comparator: joined on drop in that order so counters
+    /// are final when the engine goes away.
+    threads: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ShadowEngine {
@@ -288,20 +307,31 @@ impl ShadowEngine {
             panic!("invalid RouteMode: {e}");
         }
         let core = Arc::new(ShadowCore::new());
-        let (tx, rx) = mpsc::channel::<CollectorJob>();
-        let collector_core = Arc::clone(&core);
+        let (forwarder, forward_rx) = mpsc::channel();
+        let (comparator, compare_rx) = mpsc::channel();
         let timeout = policy.candidate_timeout;
-        let handle = std::thread::Builder::new()
-            .name("zoo-shadow-collector".into())
-            .spawn(move || collector_loop(rx, collector_core, timeout))
-            .expect("spawn zoo-shadow-collector");
+        let forward_thread = {
+            let (core, comparator) = (Arc::clone(&core), comparator.clone());
+            std::thread::Builder::new()
+                .name("zoo-shadow-forwarder".into())
+                .spawn(move || forward_loop(forward_rx, &comparator, &core))
+                .expect("spawn zoo-shadow-forwarder")
+        };
+        let compare_thread = {
+            let core = Arc::clone(&core);
+            std::thread::Builder::new()
+                .name("zoo-shadow-comparator".into())
+                .spawn(move || compare_loop(compare_rx, &core, timeout))
+                .expect("spawn zoo-shadow-comparator")
+        };
         ShadowEngine {
             incumbent,
             candidate,
             mode,
             core,
-            jobs: tx,
-            collector: Mutex::new(Some(handle)),
+            forwarder,
+            comparator,
+            threads: vec![forward_thread, compare_thread],
         }
     }
 
@@ -310,7 +340,7 @@ impl ShadowEngine {
     /// reading counters that must include in-flight work.
     pub fn sync(&self) {
         let (tx, rx) = mpsc::channel();
-        if self.jobs.send(CollectorJob::Sync(tx)).is_ok() {
+        if self.forwarder.send(ForwardJob::Sync(tx)).is_ok() {
             let _ = rx.recv();
         }
     }
@@ -345,15 +375,13 @@ impl ShadowEngine {
                     }
                 }
                 let (tx, rx) = mpsc::channel();
-                let job = CollectorJob::Compare {
+                // A failed send means the engine is being dropped: the
+                // caller reads Cancelled from the disconnected channel.
+                let _ = self.forwarder.send(ForwardJob::Incumbent {
                     forward: tx,
-                    incumbent,
-                    candidate,
-                };
-                if self.jobs.send(job).is_err() {
-                    // Collector is gone (engine dropped mid-flight): the
-                    // caller sees Cancelled via the disconnected channel.
-                }
+                    response: incumbent,
+                    duplicate: candidate,
+                });
                 Ok(PendingResponse { rx, windows: n })
             }
             RouteMode::Split(f) => {
@@ -377,12 +405,18 @@ impl ShadowEngine {
                     }
                 };
                 let (tx, rx) = mpsc::channel();
-                let job = CollectorJob::RecordArm {
-                    forward: tx,
-                    response,
-                    candidate_arm,
-                };
-                let _ = self.jobs.send(job);
+                if candidate_arm {
+                    let _ = self.comparator.send(CandidateJob::Serve {
+                        forward: tx,
+                        response,
+                    });
+                } else {
+                    let _ = self.forwarder.send(ForwardJob::Incumbent {
+                        forward: tx,
+                        response,
+                        duplicate: None,
+                    });
+                }
                 Ok(PendingResponse { rx, windows: n })
             }
         }
@@ -391,72 +425,82 @@ impl ShadowEngine {
 
 impl Drop for ShadowEngine {
     fn drop(&mut self) {
-        // Closing the job channel ends the collector loop after it drains.
-        let handle = self
-            .collector
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take();
-        // Replace the sender with a dead one by dropping jobs implicitly:
-        // mpsc senders close when all clones drop; ours drops with self,
-        // but the collector must not outlive the join below, so signal by
-        // sending nothing and joining after self.jobs is unusable. The
-        // field drop order (jobs before collector) guarantees the loop's
-        // recv errors out.
-        if let Some(h) = handle {
-            // Drop our sender first so the collector's recv() unblocks.
-            let (dead_tx, _dead_rx) = mpsc::channel();
-            self.jobs = dead_tx;
-            let _ = h.join();
+        // Hang up both job channels; the forwarder drops the comparator's
+        // other sender when it exits, so joining in order drains both.
+        self.forwarder = mpsc::channel().0;
+        self.comparator = mpsc::channel().0;
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
         }
     }
 }
 
-fn collector_loop(
-    rx: mpsc::Receiver<CollectorJob>,
-    core: Arc<ShadowCore>,
-    candidate_timeout: Duration,
+/// Delivers incumbent responses in submission order. It never waits on the
+/// candidate: duplicates go on to the comparator once their incumbent
+/// response has been delivered.
+fn forward_loop(
+    rx: mpsc::Receiver<ForwardJob>,
+    comparator: &mpsc::Sender<CandidateJob>,
+    core: &ShadowCore,
 ) {
     while let Ok(job) = rx.recv() {
         match job {
-            CollectorJob::Compare {
+            ForwardJob::Incumbent {
                 forward,
-                incumbent,
-                candidate,
-            } => {
-                let inc_result = incumbent.wait();
-                // Forward FIRST: the incumbent's timeline must not wait on
-                // the candidate.
-                let inc_out = match inc_result {
-                    Ok(out) => {
-                        let _ = forward.send(Ok(out.clone()));
-                        Some(out)
+                response,
+                duplicate,
+            } => match response.wait() {
+                Ok(out) => {
+                    let _ = forward.send(Ok(out.clone()));
+                    core.record_arm(false, &out);
+                    if let Some(duplicate) = duplicate {
+                        let _ = comparator.send(CandidateJob::Compare {
+                            incumbent: out,
+                            duplicate,
+                            resolved_at: Instant::now(),
+                        });
                     }
-                    Err(e) => {
-                        let _ = forward.send(Err(e));
-                        None
-                    }
-                };
-                let Some(inc_out) = inc_out else {
+                }
+                Err(e) => {
+                    let _ = forward.send(Err(e));
                     // The real request failed; the duplicate is moot.
-                    if candidate.is_some() {
+                    if duplicate.is_some() {
                         core.lock_counters().dropped += 1;
                     }
-                    continue;
-                };
-                core.record_arm(false, &inc_out);
-                let Some(candidate) = candidate else { continue };
-                match candidate.wait_timeout(candidate_timeout) {
+                }
+            },
+            ForwardJob::Sync(ack) => {
+                let _ = comparator.send(CandidateJob::Sync(ack));
+            }
+        }
+    }
+}
+
+/// Waits on the candidate in submission order: compares shadow duplicates
+/// and delivers Split candidate-arm responses.
+fn compare_loop(rx: mpsc::Receiver<CandidateJob>, core: &ShadowCore, candidate_timeout: Duration) {
+    while let Ok(job) = rx.recv() {
+        match job {
+            CandidateJob::Compare {
+                incumbent,
+                duplicate,
+                resolved_at,
+            } => {
+                // The budget runs from the incumbent's resolution, so a
+                // stalled candidate costs one timeout in total, not one per
+                // queued comparison.
+                let budget = candidate_timeout.saturating_sub(resolved_at.elapsed());
+                match duplicate.wait_timeout(budget) {
                     Ok(Ok(cand_out)) => {
                         core.record_arm(true, &cand_out);
-                        let n = inc_out.predictions.len().min(cand_out.predictions.len());
+                        let n = incumbent.predictions.len().min(cand_out.predictions.len());
                         let mut agreed = 0u64;
                         let mut delta = 0.0f64;
                         for i in 0..n {
-                            if inc_out.predictions[i] == cand_out.predictions[i] {
+                            if incumbent.predictions[i] == cand_out.predictions[i] {
                                 agreed += 1;
                             }
-                            let ic = confidence(inc_out.logits.row(i), inc_out.predictions[i]);
+                            let ic = confidence(incumbent.logits.row(i), incumbent.predictions[i]);
                             let cc = confidence(cand_out.logits.row(i), cand_out.predictions[i]);
                             delta += cc as f64 - ic as f64;
                         }
@@ -471,26 +515,18 @@ fn collector_loop(
                     }
                 }
             }
-            CollectorJob::RecordArm {
-                forward,
-                response,
-                candidate_arm,
-            } => match response.wait() {
+            CandidateJob::Serve { forward, response } => match response.wait() {
                 Ok(out) => {
                     let _ = forward.send(Ok(out.clone()));
-                    core.record_arm(candidate_arm, &out);
-                    if candidate_arm {
-                        core.lock_counters().resolved += 1;
-                    }
+                    core.record_arm(true, &out);
+                    core.lock_counters().resolved += 1;
                 }
                 Err(e) => {
                     let _ = forward.send(Err(e));
-                    if candidate_arm {
-                        core.lock_counters().dropped += 1;
-                    }
+                    core.lock_counters().dropped += 1;
                 }
             },
-            CollectorJob::Sync(ack) => {
+            CandidateJob::Sync(ack) => {
                 let _ = ack.send(());
             }
         }
@@ -841,7 +877,7 @@ impl ModelZoo {
         Some(Self::snapshot_experiment(&exp))
     }
 
-    /// The live experiment's snapshot (counters settled via the collector
+    /// The live experiment's snapshot (counters settled via the shadow
     /// barrier first).
     pub fn experiment_stats(&self) -> Option<ExperimentStats> {
         let slot = self.experiment.lock().unwrap_or_else(|e| e.into_inner());
@@ -1055,6 +1091,118 @@ mod tests {
         assert!(zoo.experiment_stats().is_none(), "experiment must end");
         let stats = zoo.stats();
         assert!(stats.rollup_consistent());
+    }
+
+    /// A hung candidate: every batch blocks until the test drops the
+    /// sender of `gate`, then classifies like a WaveFormer.
+    struct Gated {
+        gate: Mutex<mpsc::Receiver<()>>,
+        inner: WaveFormer,
+    }
+
+    impl GestureClassifier for Gated {
+        fn predict_batch(&self, windows: &Tensor) -> Tensor {
+            let _ = self.gate.lock().unwrap().recv();
+            self.inner.predict_batch(windows)
+        }
+
+        fn num_classes(&self) -> usize {
+            self.inner.num_classes()
+        }
+
+        fn name(&self) -> &str {
+            "gated"
+        }
+    }
+
+    /// A zoo running `mode` from an inline incumbent toward a one-worker
+    /// candidate that stays blocked until the returned sender is dropped.
+    /// The candidate timeout is an hour, so it cannot expire mid-test.
+    fn zoo_with_hung_candidate(mode: RouteMode) -> (ModelZoo, mpsc::Sender<()>) {
+        let (release, gate) = mpsc::channel();
+        let candidate = Arc::new(
+            ShardedEngine::builder()
+                .with_replica_config(AsyncEngineConfig::default().with_workers(1))
+                .add_replica(Box::new(Gated {
+                    gate: Mutex::new(gate),
+                    inner: WaveFormer::new(7),
+                }))
+                .build(),
+        );
+        let mut zoo = ModelZoo::new();
+        zoo.register("inc", small_bioformer()).unwrap();
+        zoo.register("cand", candidate).unwrap();
+        let policy = PromotionPolicy {
+            candidate_timeout: Duration::from_secs(3600),
+            ..PromotionPolicy::default()
+        };
+        zoo.start_experiment("inc", "cand", mode, policy).unwrap();
+        (zoo, release)
+    }
+
+    /// How long a test waits for a response that must already be on its
+    /// way; it only turns a regression into a failure instead of a hang.
+    const RESOLVE_BOUND: Duration = Duration::from_secs(10);
+
+    /// Every incumbent response resolves, bit-identical to the bare
+    /// incumbent's, while the shadow candidate is still blocked; once it is
+    /// released every duplicate is accounted for.
+    #[test]
+    fn stalled_shadow_candidate_never_delays_incumbent_responses() {
+        let (zoo, release) = zoo_with_hung_candidate(RouteMode::Shadow);
+        let routed = zoo.resolve(None).unwrap();
+        let bare = small_bioformer();
+        let pending: Vec<_> = (0..5)
+            .map(|seed| routed.submit(window_batch(2, seed)).unwrap())
+            .collect();
+        for (seed, response) in pending.into_iter().enumerate() {
+            let out = response
+                .wait_timeout(RESOLVE_BOUND)
+                .expect("incumbent response waited on the stalled candidate")
+                .unwrap();
+            let want = bare.classify(window_batch(2, seed as u64)).unwrap();
+            assert_eq!(out.predictions, want.predictions);
+            assert!(out.logits.allclose(&want.logits, 0.0), "logits diverge");
+        }
+        drop(release);
+        let exp = zoo.experiment_stats().unwrap();
+        assert!(exp.rollup_consistent(), "{exp:?}");
+        assert_eq!(exp.candidate_requests, 5);
+        assert_eq!(
+            exp.resolved + exp.dropped,
+            exp.candidate_requests,
+            "{exp:?}"
+        );
+    }
+
+    /// Under `Split`, incumbent-arm responses resolve while earlier
+    /// candidate-arm requests are still blocked.
+    #[test]
+    fn stalled_split_candidate_never_delays_incumbent_arm() {
+        let (zoo, release) = zoo_with_hung_candidate(RouteMode::Split(0.5));
+        let routed = zoo.resolve(None).unwrap();
+        let pending: Vec<_> = (0..6)
+            .map(|seed| routed.submit(window_batch(1, seed)).unwrap())
+            .collect();
+        let mut candidate_arm = Vec::new();
+        for (seq, response) in pending.into_iter().enumerate() {
+            if ShadowEngine::split_takes_candidate(0.5, seq as u64) {
+                candidate_arm.push(response);
+            } else {
+                response
+                    .wait_timeout(RESOLVE_BOUND)
+                    .expect("incumbent-arm response waited on the stalled candidate")
+                    .unwrap();
+            }
+        }
+        assert_eq!(candidate_arm.len(), 3);
+        drop(release);
+        for response in candidate_arm {
+            response.wait().unwrap();
+        }
+        let exp = zoo.experiment_stats().unwrap();
+        assert!(exp.rollup_consistent(), "{exp:?}");
+        assert_eq!((exp.candidate_requests, exp.resolved), (3, 3), "{exp:?}");
     }
 
     /// The latency gate on hand-built evidence: with every other gate

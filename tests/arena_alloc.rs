@@ -20,7 +20,7 @@ use bioformers::serve::{
     AsyncEngineConfig, DecisionPolicy, GestureClassifier, LatencyTrace, ShardedEngine,
     StageRecorder, StreamConfig, StreamSession,
 };
-use bioformers::tensor::{parallel, Tensor, TensorArena};
+use bioformers::tensor::{Tensor, TensorArena};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::Duration;
@@ -99,9 +99,8 @@ fn quant_model() -> QuantBioformer {
 
 #[test]
 fn steady_state_bioformer_forward_makes_zero_heap_allocations() {
-    // Force the serial kernel path: thread spawns allocate, and a bio1
-    // single-window forward never crosses the parallel threshold anyway.
-    parallel::set_max_threads(1);
+    // Thread spawns allocate; every bio1 GEMM is below the parallel
+    // threshold, so the whole forward runs on this thread.
     let model = Bioformer::new(&BioformerConfig::bio1());
     let x = window(1, 3);
     let mut arena = TensorArena::new();
@@ -131,7 +130,6 @@ fn steady_state_bioformer_forward_makes_zero_heap_allocations() {
             "steady-state forward #{trial} hit the heap {steady} times"
         );
     }
-    parallel::set_max_threads(0);
 }
 
 /// Autotuned kernels keep the allocation-free steady state: tuning (and
@@ -140,7 +138,6 @@ fn steady_state_bioformer_forward_makes_zero_heap_allocations() {
 /// default one — never.
 #[test]
 fn steady_state_tuned_forward_makes_zero_heap_allocations() {
-    parallel::set_max_threads(1);
     let mut model = Bioformer::new(&BioformerConfig::bio1());
     let (compute, _table) = bioformers::serve::tuned_compute(&model);
     model.set_backend(compute);
@@ -160,12 +157,10 @@ fn steady_state_tuned_forward_makes_zero_heap_allocations() {
             "tuned steady-state forward #{trial} hit the heap {steady} times"
         );
     }
-    parallel::set_max_threads(0);
 }
 
 #[test]
 fn steady_state_batched_forward_makes_zero_heap_allocations() {
-    parallel::set_max_threads(1);
     let model = Bioformer::new(&BioformerConfig::bio1());
     let x = window(8, 5);
     let mut arena = TensorArena::new();
@@ -178,12 +173,10 @@ fn steady_state_batched_forward_makes_zero_heap_allocations() {
         arena.recycle(y);
     });
     assert_eq!(steady, 0, "batched steady-state forward hit the heap");
-    parallel::set_max_threads(0);
 }
 
 #[test]
 fn steady_state_quant_forward_makes_zero_heap_allocations() {
-    parallel::set_max_threads(1);
     let qmodel = quant_model();
     let x = window(1, 7);
     let mut arena = TensorArena::new();
@@ -212,7 +205,6 @@ fn steady_state_quant_forward_makes_zero_heap_allocations() {
             "steady-state int8 forward #{trial} hit the heap {steady} times"
         );
     }
-    parallel::set_max_threads(0);
 }
 
 /// The decision-latency trace recorder is allocation-free from the very
@@ -250,7 +242,6 @@ fn stage_recorder_records_traces_with_zero_heap_allocations() {
 /// (alternating classes force two traced events per push).
 #[test]
 fn traced_stream_session_per_push_allocations_stay_constant() {
-    parallel::set_max_threads(1);
     let model = Bioformer::new(&BioformerConfig::bio1());
 
     // Find two window signals the model classifies differently, so every
@@ -341,12 +332,10 @@ fn traced_stream_session_per_push_allocations_stay_constant() {
     );
     let stages = session.stage_stats();
     assert!(stages.count() >= 8, "recorder missed the traced events");
-    parallel::set_max_threads(0);
 }
 
 #[test]
 fn steady_state_batched_quant_forward_makes_zero_heap_allocations() {
-    parallel::set_max_threads(1);
     let qmodel = quant_model();
     let x = window(8, 9);
     let mut arena = TensorArena::new();
@@ -359,5 +348,4 @@ fn steady_state_batched_quant_forward_makes_zero_heap_allocations() {
         arena.recycle(y);
     });
     assert_eq!(steady, 0, "batched steady-state int8 forward hit the heap");
-    parallel::set_max_threads(0);
 }
